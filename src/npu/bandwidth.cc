@@ -1,62 +1,99 @@
 #include "npu/bandwidth.hh"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
 
 #include "common/logging.hh"
 
 namespace neu10
 {
 
-std::vector<double>
-maxMinAllocate(const std::vector<double> &demands, double capacity,
-               const std::vector<double> &weights)
+void
+maxMinFill(std::span<const double> demands, double capacity,
+           std::span<double> grants, std::vector<MaxMinKey> &scratch,
+           std::span<const double> weights)
 {
     // Capacities arrive from chains of grant subtractions, so allow
     // (and flatten) floating-point dust below zero.
     NEU10_ASSERT(capacity >= -1e-6, "negative capacity");
     NEU10_ASSERT(weights.empty() || weights.size() == demands.size(),
                  "weights size mismatch");
+    NEU10_ASSERT(grants.size() == demands.size(), "grants size mismatch");
 
     const size_t n = demands.size();
-    std::vector<double> grant(n, 0.0);
+    std::fill(grants.begin(), grants.end(), 0.0);
     if (n == 0 || capacity <= 0.0)
-        return grant;
+        return;
 
-    std::vector<double> w(n, 1.0);
-    if (!weights.empty())
-        w = weights;
-    for (double x : w)
+    for (double x : weights)
         NEU10_ASSERT(x >= 0.0, "negative weight");
+    auto weight = [&](size_t i) {
+        return weights.empty() ? 1.0 : weights[i];
+    };
 
-    // Water-fill exactly: sort by demand/weight; at each level either
+    // Water-fill exactly: order by demand/weight; at each level either
     // everyone remaining is satisfied or the capacity splits by weight.
-    std::vector<size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        const double da = w[a] > 0 ? demands[a] / w[a] : 0.0;
-        const double db = w[b] > 0 ? demands[b] / w[b] : 0.0;
-        return da < db;
-    });
+    std::array<MaxMinKey, kMaxMinInline> inline_order;
+    if (n > kMaxMinInline)
+        scratch.resize(n);
+    MaxMinKey *order =
+        n > kMaxMinInline ? scratch.data() : inline_order.data();
+    for (size_t i = 0; i < n; ++i) {
+        const double w = weight(i);
+        order[i] = {w > 0 ? demands[i] / w : 0.0,
+                    static_cast<std::uint32_t>(i)};
+    }
+    if (n <= kMaxMinInline) {
+        // Insertion with a strict `<` never moves an entry past an
+        // equal one, so ties keep input order.
+        for (size_t i = 1; i < n; ++i) {
+            const MaxMinKey k = order[i];
+            size_t j = i;
+            for (; j > 0 && k.level < order[j - 1].level; --j)
+                order[j] = order[j - 1];
+            order[j] = k;
+        }
+    } else {
+        // Same order without std::stable_sort's temporary buffer:
+        // equal levels fall back to the input index.
+        std::sort(order, order + n,
+                  [](const MaxMinKey &a, const MaxMinKey &b) {
+                      if (a.level < b.level || b.level < a.level)
+                          return a.level < b.level;
+                      return a.index < b.index;
+                  });
+    }
 
     double cap = capacity;
     double wsum = 0.0;
-    for (size_t i : order)
-        wsum += demands[i] > 0 ? w[i] : 0.0;
+    for (size_t k = 0; k < n; ++k) {
+        const size_t i = order[k].index;
+        wsum += demands[i] > 0 ? weight(i) : 0.0;
+    }
 
-    for (size_t idx = 0; idx < n; ++idx) {
-        const size_t i = order[idx];
-        if (demands[i] <= 0.0 || w[i] <= 0.0)
+    for (size_t k = 0; k < n; ++k) {
+        const size_t i = order[k].index;
+        const double w = weight(i);
+        if (demands[i] <= 0.0 || w <= 0.0)
             continue;
-        const double fair = cap * w[i] / wsum;
+        const double fair = cap * w / wsum;
         const double got = std::min(demands[i], fair);
-        grant[i] = got;
+        grants[i] = got;
         cap -= got;
-        wsum -= w[i];
+        wsum -= w;
         if (cap <= 0.0 || wsum <= 0.0)
             break;
     }
-    return grant;
+}
+
+std::vector<double>
+maxMinAllocate(const std::vector<double> &demands, double capacity,
+               const std::vector<double> &weights)
+{
+    std::vector<double> grants(demands.size());
+    std::vector<MaxMinKey> scratch;
+    maxMinFill(demands, capacity, grants, scratch, weights);
+    return grants;
 }
 
 } // namespace neu10

@@ -32,7 +32,10 @@ struct NpuCoreSim::RequestExec
     std::vector<unsigned> unitsLeft;   // in the current group
     std::vector<OpTiming> timings;
     size_t opsDone = 0;
-    std::vector<std::unique_ptr<UnitRun>> units;
+    /** Every unit the request will ever run, reserved up front so the
+     * UnitRun pointers held by ready queues and the running set stay
+     * valid without a heap object per unit. */
+    std::vector<UnitRun> units;
 };
 
 NpuCoreSim::NpuCoreSim(EventQueue &queue, const NpuCoreConfig &cfg,
@@ -78,6 +81,11 @@ NpuCoreSim::submit(std::uint32_t slot, const CompiledModel *model,
     req->depsLeft.resize(nops);
     req->groupPos.assign(nops, 0);
     req->unitsLeft.assign(nops, 0);
+    size_t total_units = 0;
+    for (const CompiledOp &op : model->ops)
+        for (const WorkGroup &grp : op.groups)
+            total_units += grp.units.size();
+    req->units.reserve(total_units);
     if (captureOpTimings_) {
         req->timings.resize(nops);
         for (size_t i = 0; i < nops; ++i)
@@ -117,21 +125,21 @@ NpuCoreSim::enqueueReadyUnits(RequestExec &req, std::uint32_t op_idx,
     req.unitsLeft[op_idx] = static_cast<unsigned>(grp.units.size());
 
     for (const WorkUnit &w : grp.units) {
-        auto unit = std::make_unique<UnitRun>();
-        unit->id = nextUnitId_++;
-        unit->slot = req.slot;
-        unit->kind = w.kind;
-        unit->gang = w.gang;
-        unit->meTime = w.meTime;
-        unit->meEff = w.meEff;
-        unit->veTime = w.veTime;
-        unit->bytes = w.bytes;
-        unit->request = req.id;
-        unit->opIdx = op_idx;
-        unit->readyAt = now;
+        NEU10_ASSERT(req.units.size() < req.units.capacity(),
+                     "unit storage would move running units");
+        UnitRun *raw = &req.units.emplace_back();
+        raw->id = nextUnitId_++;
+        raw->slot = req.slot;
+        raw->kind = w.kind;
+        raw->gang = w.gang;
+        raw->meTime = w.meTime;
+        raw->meEff = w.meEff;
+        raw->veTime = w.veTime;
+        raw->bytes = w.bytes;
+        raw->request = req.id;
+        raw->opIdx = op_idx;
+        raw->readyAt = now;
 
-        UnitRun *raw = unit.get();
-        req.units.push_back(std::move(unit));
         if (raw->kind == UTopKind::Me)
             slots_[req.slot].readyMe.push_back(raw);
         else
@@ -322,17 +330,17 @@ NpuCoreSim::budgetUsed(std::uint32_t slot) const
     return budgetUsed_[slot];
 }
 
-std::vector<UnitRun *>
-NpuCoreSim::harvestersOn(std::uint32_t slot)
+UnitRun *
+NpuCoreSim::lastHarvesterOn(std::uint32_t slot)
 {
-    std::vector<UnitRun *> out;
-    out.reserve(running_.size());
-    for (UnitRun *u : running_)
+    for (auto it = running_.rbegin(); it != running_.rend(); ++it) {
+        UnitRun *u = *it;
         if (u->kind == UTopKind::Me && u->budgetSlot == slot &&
             u->slot != slot) {
-            out.push_back(u);
+            return u;
         }
-    return out;
+    }
+    return nullptr;
 }
 
 unsigned
@@ -380,17 +388,19 @@ NpuCoreSim::computeShares()
         if (u->bytes != 0)
             scratchSlotUnits_[u->slot].push_back(u);
     }
-    const std::vector<double> slot_grant =
-        maxMinAllocate(scratchDemand_, bpc);
+    scratchSlotGrant_.resize(slots_.size());
+    maxMinFill(scratchDemand_, bpc, scratchSlotGrant_, scratchFill_);
 
-    std::vector<double> demands;
+    std::vector<double> &demands = scratchUnitDemand_;
+    std::vector<double> &grants = scratchUnitGrant_;
     for (std::uint32_t s = 0; s < slots_.size(); ++s) {
         const auto &mine = scratchSlotUnits_[s];
         demands.clear();
         for (UnitRun *u : mine)
             demands.push_back(base_rate(u) *
                               static_cast<double>(u->bytes));
-        const auto grants = maxMinAllocate(demands, slot_grant[s]);
+        grants.resize(mine.size());
+        maxMinFill(demands, scratchSlotGrant_[s], grants, scratchFill_);
         for (size_t i = 0; i < mine.size(); ++i)
             mine[i]->hbmShare = grants[i];
     }
@@ -584,20 +594,19 @@ NpuCoreSim::drainSlot(std::uint32_t slot)
             ++it;
             continue;
         }
-        for (auto &u : it->second->units) {
-            if (u->running) {
-                if (u->kind == UTopKind::Me &&
-                    u->budgetSlot != kNoSlot) {
+        for (UnitRun &u : it->second->units) {
+            if (u.running) {
+                if (u.kind == UTopKind::Me && u.budgetSlot != kNoSlot) {
                     // A drained unit may be a harvester charged to a
                     // *different* slot's budget: release that budget,
                     // not the drained slot's.
-                    NEU10_ASSERT(budgetUsed_[u->budgetSlot] >= u->gang,
+                    NEU10_ASSERT(budgetUsed_[u.budgetSlot] >= u.gang,
                                  "budget accounting underflow on "
                                  "drain");
-                    budgetUsed_[u->budgetSlot] -= u->gang;
+                    budgetUsed_[u.budgetSlot] -= u.gang;
                 }
-                running_.erase(std::find(running_.begin(),
-                                         running_.end(), u.get()));
+                running_.erase(
+                    std::find(running_.begin(), running_.end(), &u));
             }
         }
         it = requests_.erase(it);

@@ -36,10 +36,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
 #include "compiler/lower.hh"
+#include "npu/bandwidth.hh"
 #include "npu/config.hh"
 #include "obs/trace.hh"
 #include "sim/engine.hh"
@@ -260,9 +262,10 @@ class NpuCoreSim
     /** MEs of @p slot's budget currently consumed. */
     unsigned budgetUsed(std::uint32_t slot) const;
 
-    /** Running harvester units charged to @p slot's budget but owned
-     * by other slots (candidates for reclaim). */
-    std::vector<UnitRun *> harvestersOn(std::uint32_t slot);
+    /** The most recently bound running harvester charged to @p slot's
+     * budget but owned by another slot (the reclaim victim), or
+     * nullptr if there is none. */
+    UnitRun *lastHarvesterOn(std::uint32_t slot);
 
     /** Number of running VE units (capped at ny queues). */
     unsigned runningVeUnits() const;
@@ -310,6 +313,10 @@ class NpuCoreSim
     std::vector<double> scratchOccupancy_;
     std::vector<double> scratchUseful_;
     std::vector<double> scratchDemand_;
+    std::vector<double> scratchSlotGrant_;
+    std::vector<double> scratchUnitDemand_;
+    std::vector<double> scratchUnitGrant_;
+    std::vector<MaxMinKey> scratchFill_;
     std::vector<std::vector<UnitRun *>> scratchSlotUnits_;
 
     TraceBuffer *trace_ = nullptr;

@@ -37,11 +37,11 @@ Neu10Policy::name() const
     return harvest_ ? "Neu10" : "Neu10-NH";
 }
 
-std::vector<unsigned>
-Neu10Policy::budgets(const NpuCoreSim &core) const
+void
+Neu10Policy::budgets(const NpuCoreSim &core)
 {
     const auto &slots = core.slots();
-    std::vector<unsigned> b(slots.size(), 0);
+    budget_.assign(slots.size(), 0);
 
     unsigned total_alloc = 0;
     for (const auto &s : slots)
@@ -49,45 +49,47 @@ Neu10Policy::budgets(const NpuCoreSim &core) const
 
     if (!temporal_ || total_alloc <= core.config().numMes) {
         for (size_t i = 0; i < slots.size(); ++i)
-            b[i] = slots[i].nMes;
-        return b;
+            budget_[i] = slots[i].nMes;
+        return;
     }
 
     // Oversubscribed: split the physical MEs by priority-weighted
     // deficit (least attained service first), capped by allocation.
+    // Equal deficits keep slot order, as a stable sort would.
     const unsigned phys = core.config().numMes;
-    std::vector<size_t> order(slots.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t c) {
-                         const double da =
-                             slots[a].meServiceCycles /
-                             std::max(1e-9, slots[a].priority);
-                         const double dc =
-                             slots[c].meServiceCycles /
-                             std::max(1e-9, slots[c].priority);
-                         return da < dc;
-                     });
+    auto deficit = [&](size_t i) {
+        return slots[i].meServiceCycles /
+               std::max(1e-9, slots[i].priority);
+    };
+    order_.resize(slots.size());
+    for (size_t i = 0; i < order_.size(); ++i)
+        order_[i] = i;
+    std::sort(order_.begin(), order_.end(), [&](size_t a, size_t c) {
+        const double da = deficit(a);
+        const double dc = deficit(c);
+        if (da < dc || dc < da)
+            return da < dc;
+        return a < c;
+    });
     unsigned left = phys;
-    for (size_t i : order) {
+    for (size_t i : order_) {
         // Only grant budget a slot can actually use.
         const auto backlog = static_cast<unsigned>(
             slots[i].readyMe.size() + core.budgetUsed(
                 static_cast<std::uint32_t>(i)));
         const unsigned want = std::min(slots[i].nMes, backlog);
-        b[i] = std::min(want, left);
-        left -= b[i];
+        budget_[i] = std::min(want, left);
+        left -= budget_[i];
     }
     // Hand leftovers to anyone with remaining allocation.
-    for (size_t i : order) {
+    for (size_t i : order_) {
         if (left == 0)
             break;
-        const unsigned extra = std::min(left, slots[i].nMes - b[i]);
-        b[i] += extra;
+        const unsigned extra =
+            std::min(left, slots[i].nMes - budget_[i]);
+        budget_[i] += extra;
         left -= extra;
     }
-    return b;
 }
 
 void
@@ -95,7 +97,8 @@ Neu10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
 {
     lastNow_ = now;
     auto &slots = core.slots();
-    const std::vector<unsigned> budget = budgets(core);
+    budgets(core);
+    const std::vector<unsigned> &budget = budget_;
 
     // Phase 1 — fill own budget FIFO.
     for (std::uint32_t s = 0; s < slots.size(); ++s) {
@@ -116,12 +119,11 @@ Neu10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
     for (std::uint32_t s = 0; s < slots.size(); ++s) {
         while (!slots[s].readyMe.empty() &&
                core.budgetUsed(s) >= budget[s]) {
-            auto harvesters = core.harvestersOn(s);
-            if (harvesters.empty())
-                break;
             // Evict the most recently admitted harvester: it has the
             // least sunk progress on average.
-            UnitRun *victim = harvesters.back();
+            UnitRun *victim = core.lastHarvesterOn(s);
+            if (victim == nullptr)
+                break;
             ++slots[s].reclaimPreemptions;
             slots[s].blockedByHarvest += core.config().mePreemptCycles;
             core.preemptMe(victim);
@@ -176,40 +178,42 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
 
     // Per-slot VE share assignment: ME-uTOp demand first (frees the
     // occupied MEs soonest), then VE uTOps; surplus harvested.
-    std::vector<UnitRun *> me_units, ve_units;
+    meUnits_.clear();
+    veUnits_.clear();
     for (UnitRun *u : core.running()) {
         if (u->veTime <= 0.0) {
             u->veShare = 0.0;
             continue;
         }
-        (u->kind == UTopKind::Me ? me_units : ve_units).push_back(u);
+        (u->kind == UTopKind::Me ? meUnits_ : veUnits_).push_back(u);
     }
 
-    std::vector<double> slot_left(slots.size());
+    slotLeft_.resize(slots.size());
     for (size_t s = 0; s < slots.size(); ++s)
-        slot_left[s] = slots[s].nVes;
+        slotLeft_[s] = slots[s].nVes;
 
-    auto allocate_within = [&](std::vector<UnitRun *> &units) {
+    auto allocate_within = [&](const std::vector<UnitRun *> &units) {
         for (std::uint32_t s = 0; s < slots.size(); ++s) {
-            std::vector<UnitRun *> mine;
-            std::vector<double> demands;
+            mine_.clear();
+            demands_.clear();
             for (UnitRun *u : units) {
                 if (u->slot != s)
                     continue;
-                mine.push_back(u);
-                demands.push_back(std::min<double>(
+                mine_.push_back(u);
+                demands_.push_back(std::min<double>(
                     u->veDemandRate(), core.config().numVes));
             }
-            const auto grants = maxMinAllocate(demands, slot_left[s]);
-            for (size_t i = 0; i < mine.size(); ++i) {
-                mine[i]->veShare = grants[i];
-                slot_left[s] =
-                    std::max(0.0, slot_left[s] - grants[i]);
+            grants_.resize(mine_.size());
+            maxMinFill(demands_, slotLeft_[s], grants_, fill_);
+            for (size_t i = 0; i < mine_.size(); ++i) {
+                mine_[i]->veShare = grants_[i];
+                slotLeft_[s] =
+                    std::max(0.0, slotLeft_[s] - grants_[i]);
             }
         }
     };
-    allocate_within(me_units);
-    allocate_within(ve_units);
+    allocate_within(meUnits_);
+    allocate_within(veUnits_);
 
     if (!harvest_ || !harvestVes_)
         return;
@@ -217,29 +221,29 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
     // Harvest surplus VE capacity: unmet ME-uTOp demand first, then
     // VE uTOps (the Fig. 18b order).
     double surplus = 0.0;
-    for (double v : slot_left)
+    for (double v : slotLeft_)
         surplus += v;
     if (surplus <= 1e-12)
         return;
 
-    auto top_up = [&](std::vector<UnitRun *> &units) {
+    auto top_up = [&](const std::vector<UnitRun *> &units) {
         if (surplus <= 1e-12)
             return;
-        std::vector<double> unmet;
-        unmet.reserve(units.size());
+        demands_.clear();
         for (UnitRun *u : units) {
             const double want = std::min<double>(
                 u->veDemandRate(), core.config().numVes);
-            unmet.push_back(std::max(0.0, want - u->veShare));
+            demands_.push_back(std::max(0.0, want - u->veShare));
         }
-        const auto extra = maxMinAllocate(unmet, surplus);
+        grants_.resize(units.size());
+        maxMinFill(demands_, surplus, grants_, fill_);
         for (size_t i = 0; i < units.size(); ++i) {
-            units[i]->veShare += extra[i];
-            surplus -= extra[i];
+            units[i]->veShare += grants_[i];
+            surplus -= grants_[i];
         }
     };
-    top_up(me_units);
-    top_up(ve_units);
+    top_up(meUnits_);
+    top_up(veUnits_);
 }
 
 Cycles

@@ -28,6 +28,7 @@
 
 #include <vector>
 
+#include "npu/bandwidth.hh"
 #include "sched/policy.hh"
 
 namespace neu10
@@ -54,15 +55,26 @@ class Neu10Policy : public SchedulerPolicy
     Cycles nextWakeup(const NpuCoreSim &core, Cycles now) override;
 
   private:
-    /** Effective per-slot ME budgets for this round. */
-    std::vector<unsigned> budgets(const NpuCoreSim &core) const;
+    /** Effective per-slot ME budgets for this round, into budget_. */
+    void budgets(const NpuCoreSim &core);
 
     bool harvest_;
     bool temporal_;
     bool harvestMes_ = true;
     bool harvestVes_ = true;
-    mutable std::vector<double> deficit_; // temporal-mode bookkeeping
     Cycles lastNow_ = 0.0;
+
+    // Per-round state kept across calls so a scheduling event
+    // allocates nothing in steady state.
+    std::vector<unsigned> budget_;
+    std::vector<size_t> order_;
+    std::vector<UnitRun *> meUnits_;
+    std::vector<UnitRun *> veUnits_;
+    std::vector<UnitRun *> mine_;
+    std::vector<double> slotLeft_;
+    std::vector<double> demands_;
+    std::vector<double> grants_;
+    std::vector<MaxMinKey> fill_;
 };
 
 } // namespace neu10

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "npu/bandwidth.hh"
 #include "sched/policy.hh"
 
 namespace neu10
@@ -50,6 +51,12 @@ class PmtPolicy : public SchedulerPolicy
     Cycles quantumEnd_ = 0.0;
     Cycles lastNow_ = 0.0;
     std::vector<double> attained_;
+
+    // Scratch reused across scheduling events.
+    std::vector<UnitRun *> units_;
+    std::vector<double> demands_;
+    std::vector<double> grants_;
+    std::vector<MaxMinKey> fill_;
 };
 
 } // namespace neu10

@@ -15,6 +15,9 @@
 #ifndef NEU10_SCHED_V10_POLICY_HH
 #define NEU10_SCHED_V10_POLICY_HH
 
+#include <vector>
+
+#include "npu/bandwidth.hh"
 #include "sched/policy.hh"
 
 namespace neu10
@@ -34,6 +37,13 @@ class V10Policy : public SchedulerPolicy
   private:
     /** Slot whose turn it is: least attained ME service / priority. */
     std::uint32_t pickNext(const NpuCoreSim &core) const;
+
+    // Scratch reused across scheduling events.
+    std::vector<UnitRun *> units_;
+    std::vector<double> demands_;
+    std::vector<double> weights_;
+    std::vector<double> grants_;
+    std::vector<MaxMinKey> fill_;
 };
 
 } // namespace neu10

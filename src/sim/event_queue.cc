@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 
 namespace neu10
@@ -12,28 +14,63 @@ EventQueue::schedule(Cycles when, Callback cb, EventPriority prio)
                  "cannot schedule into the past (when=%g now=%g)",
                  when, now_);
     NEU10_ASSERT(cb != nullptr, "event needs a callback");
-    const EventId id = nextId_++;
-    heap_.push(Entry{when, static_cast<int>(prio), id});
-    live_.emplace(id, std::move(cb));
+    std::uint32_t slot;
+    if (free_.empty()) {
+        NEU10_ASSERT(slots_.size() <
+                         std::numeric_limits<std::uint32_t>::max(),
+                     "event slot table full");
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        slot = free_.back();
+        free_.pop_back();
+    }
+    Slot &s = slots_[slot];
+    const std::uint64_t seq = nextSeq_++;
+    s.seq = seq;
+    ++s.gen;
+    s.cb = std::move(cb);
+    heap_.push(Entry{when, seq, static_cast<int>(prio), slot});
     ++pendingCount_;
-    return id;
+    return (static_cast<EventId>(s.gen) << 32) | slot;
 }
 
 void
 EventQueue::deschedule(EventId id)
 {
-    auto it = live_.find(id);
-    if (it == live_.end())
+    const auto slot = static_cast<std::uint32_t>(id);
+    const auto gen = static_cast<std::uint32_t>(id >> 32);
+    if (slot >= slots_.size())
         return;
-    live_.erase(it);
+    Slot &s = slots_[slot];
+    // A fired or cancelled event's slot either still carries seq 0 or
+    // has been reused under a newer generation: both are no-ops.
+    if (s.gen != gen || s.seq == 0)
+        return;
+    s.seq = 0;
+    s.cb = nullptr;
     --pendingCount_;
+}
+
+void
+EventQueue::release(std::uint32_t slot)
+{
+    // A slot whose generation would wrap is retired rather than
+    // reused, so an old EventId can never match a later event.
+    if (slots_[slot].gen != std::numeric_limits<std::uint32_t>::max())
+        free_.push_back(slot);
 }
 
 void
 EventQueue::popCancelled()
 {
-    while (!heap_.empty() && !live_.count(heap_.top().id))
+    while (!heap_.empty()) {
+        const Entry &top = heap_.top();
+        if (slots_[top.slot].seq == top.seq)
+            break;
+        release(top.slot);
         heap_.pop();
+    }
 }
 
 bool
@@ -60,10 +97,11 @@ EventQueue::step()
         return false;
     const Entry e = heap_.top();
     heap_.pop();
-    auto it = live_.find(e.id);
-    NEU10_ASSERT(it != live_.end(), "live event vanished");
-    Callback cb = std::move(it->second);
-    live_.erase(it);
+    Slot &s = slots_[e.slot];
+    Callback cb = std::move(s.cb);
+    s.cb = nullptr;
+    s.seq = 0;
+    release(e.slot);
     --pendingCount_;
     NEU10_ASSERT(e.when >= now_, "event time went backwards");
     now_ = e.when;

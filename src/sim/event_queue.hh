@@ -7,6 +7,13 @@
  * scheduler quantum expiry, preemption). The EventQueue totally orders
  * events by (time, priority, insertion sequence) so that simulations are
  * deterministic even when events coincide in time.
+ *
+ * Callbacks live in a slot table recycled through a free list; the
+ * binary heap holds (time, priority, sequence, slot) records. A heap
+ * record is live iff its slot still carries its sequence number, so
+ * cancellation is O(1) and lazy, and once the table and heap have grown
+ * to the working set, scheduling and firing allocate nothing beyond
+ * what a callback's own captures need.
  */
 
 #ifndef NEU10_SIM_EVENT_QUEUE_HH
@@ -15,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -37,7 +43,10 @@ enum class EventPriority : int
     Default = 4,
 };
 
-/** Opaque handle used to cancel a scheduled event. */
+/**
+ * Opaque handle used to cancel a scheduled event: the event's slot in
+ * the low 32 bits, that slot's reuse generation in the high 32 bits.
+ */
 using EventId = std::uint64_t;
 
 /** Sentinel returned when no event is pending. */
@@ -88,8 +97,9 @@ class EventQueue
     struct Entry
     {
         Cycles when;
+        std::uint64_t seq;  ///< insertion order; 0 never used
         int prio;
-        EventId id;
+        std::uint32_t slot;
         // Ordering for a min-queue via std::greater semantics.
         bool
         operator>(const Entry &o) const
@@ -98,20 +108,31 @@ class EventQueue
                 return when > o.when;
             if (prio != o.prio)
                 return prio > o.prio;
-            return id > o.id;
+            return seq > o.seq;
         }
     };
 
+    /** One callback slot. A slot stays bound to its heap record until
+     * that record is popped, then returns to the free list. */
+    struct Slot
+    {
+        std::uint64_t seq = 0;   ///< sequence of the pending event; 0: none
+        std::uint32_t gen = 0;   ///< bumped on every reuse (EventId check)
+        Callback cb;
+    };
+
+    /** Discard stale (cancelled) records at the top of the heap. */
     void popCancelled();
+    /** Return a popped record's slot to the free list. */
+    void release(std::uint32_t slot);
 
     std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
         heap_;
-    // id -> callback; erased on deschedule so heap entries become stale
-    // and are lazily discarded when popped.
-    std::unordered_map<EventId, Callback> live_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_;
 
     Cycles now_ = 0.0;
-    EventId nextId_ = 1;
+    std::uint64_t nextSeq_ = 1;
     size_t pendingCount_ = 0;
     std::uint64_t executed_ = 0;
 };

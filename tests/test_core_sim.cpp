@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "npu/bandwidth.hh"
 #include "npu/core_sim.hh"
 #include "sched/policy.hh"
@@ -573,6 +576,122 @@ TEST(Bandwidth, NeverExceedsDemandOrCapacity)
         }
         EXPECT_LE(total, cap + 1e-9);
     }
+}
+
+/**
+ * Test-only oracle: the water-fill as it stood before maxMinFill, with
+ * an index array ordered by std::stable_sort. Frozen here so the
+ * in-place version is held to bit-exact agreement with it.
+ */
+std::vector<double>
+referenceMaxMin(const std::vector<double> &demands, double capacity,
+                const std::vector<double> &weights)
+{
+    const size_t n = demands.size();
+    std::vector<double> grant(n, 0.0);
+    if (n == 0 || capacity <= 0.0)
+        return grant;
+
+    std::vector<double> w(n, 1.0);
+    if (!weights.empty())
+        w = weights;
+
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        const double da = w[a] > 0 ? demands[a] / w[a] : 0.0;
+        const double db = w[b] > 0 ? demands[b] / w[b] : 0.0;
+        return da < db;
+    });
+
+    double cap = capacity;
+    double wsum = 0.0;
+    for (size_t i : order)
+        wsum += demands[i] > 0 ? w[i] : 0.0;
+
+    for (size_t idx = 0; idx < n; ++idx) {
+        const size_t i = order[idx];
+        if (demands[i] <= 0.0 || w[i] <= 0.0)
+            continue;
+        const double fair = cap * w[i] / wsum;
+        const double got = std::min(demands[i], fair);
+        grant[i] = got;
+        cap -= got;
+        wsum -= w[i];
+        if (cap <= 0.0 || wsum <= 0.0)
+            break;
+    }
+    return grant;
+}
+
+TEST(Bandwidth, InPlaceFillMatchesStableSortOracleBitForBit)
+{
+    // Values drawn from small grids so demand/weight levels tie often
+    // (2/2 and 1/1, repeated demands), plus zero demands, zero weights
+    // and continuous values; capacities cover 0, negative fp dust,
+    // partial, exact and above total demand.
+    Rng rng(0x77617465726669ull);
+    std::vector<MaxMinKey> scratch; // reused across sizes on purpose
+    std::vector<double> grants;
+    const double grid_demand[] = {0.0, 1.0, 2.0, 3.0, 4.0, 0.5};
+    const double grid_weight[] = {0.0, 0.5, 1.0, 2.0, 3.0};
+    for (unsigned trial = 0; trial < 6000; ++trial) {
+        const auto n = static_cast<size_t>(trial % 33);
+        std::vector<double> demands(n);
+        double total = 0.0;
+        for (double &d : demands) {
+            d = rng.below(3) == 0 ? rng.uniform(0.0, 5.0)
+                                  : grid_demand[rng.below(6)];
+            total += d;
+        }
+        std::vector<double> weights;
+        if (rng.below(2) == 0) {
+            weights.resize(n);
+            for (double &w : weights)
+                w = rng.below(4) == 0 ? rng.uniform(0.0, 3.0)
+                                      : grid_weight[rng.below(5)];
+        }
+        double cap = 0.0;
+        switch (rng.below(6)) {
+          case 0: cap = 0.0; break;
+          case 1: cap = -1e-9; break;
+          case 2: cap = total * rng.uniform(0.05, 0.95); break;
+          case 3: cap = total; break;
+          case 4: cap = total * rng.uniform(1.0, 3.0) + 1.0; break;
+          default: cap = static_cast<double>(rng.below(8)); break;
+        }
+
+        const std::vector<double> want =
+            referenceMaxMin(demands, cap, weights);
+        const std::vector<double> got =
+            maxMinAllocate(demands, cap, weights);
+        grants.assign(n, -1.0); // stale values must be overwritten
+        maxMinFill(demands, cap, grants, scratch, weights);
+        ASSERT_EQ(got.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(got[i], want[i])
+                << "trial " << trial << " n " << n << " i " << i;
+            EXPECT_EQ(grants[i], want[i])
+                << "trial " << trial << " n " << n << " i " << i;
+        }
+    }
+}
+
+TEST(Bandwidth, InPlaceFillReusesScratch)
+{
+    // Past kMaxMinInline the order lives in the caller's scratch; once
+    // it has grown, later fills must not reallocate it.
+    const size_t n = kMaxMinInline + 8;
+    std::vector<double> demands(n), grants(n);
+    for (size_t i = 0; i < n; ++i)
+        demands[i] = static_cast<double>((i * 7) % 5);
+    std::vector<MaxMinKey> scratch;
+    maxMinFill(demands, 10.0, grants, scratch);
+    const MaxMinKey *data = scratch.data();
+    for (int round = 0; round < 4; ++round)
+        maxMinFill(demands, 10.0 + round, grants, scratch);
+    EXPECT_EQ(scratch.data(), data);
+    EXPECT_EQ(grants, referenceMaxMin(demands, 13.0, {}));
 }
 
 } // anonymous namespace

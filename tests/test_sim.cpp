@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 
@@ -152,6 +156,115 @@ TEST(EventQueue, ZeroDelaySelfEventAdvances)
     q.schedule(0.0, chain);
     q.runUntil(100.0);
     EXPECT_EQ(count, 5);
+}
+
+TEST(EventQueue, FiredIdStaysStaleAfterSlotReuse)
+{
+    EventQueue q;
+    int first = 0, second = 0;
+    const EventId a = q.schedule(1.0, [&](Cycles) { ++first; });
+    ASSERT_TRUE(q.step());
+    // The fired event's slot is free again; the next event takes it.
+    const EventId b = q.schedule(2.0, [&](Cycles) { ++second; });
+    EXPECT_NE(a, b);
+    q.deschedule(a);
+    EXPECT_EQ(q.pending(), 1u);
+    q.runUntil();
+    EXPECT_EQ(first, 1);
+    EXPECT_EQ(second, 1);
+}
+
+TEST(EventQueue, CancelledIdStaysStaleAfterSlotReuse)
+{
+    EventQueue q;
+    bool ran_a = false, ran_b = false;
+    const EventId a = q.schedule(5.0, [&](Cycles) { ran_a = true; });
+    q.deschedule(a);
+    // Peeking discards the cancelled record and frees its slot.
+    EXPECT_EQ(q.nextEventTime(), kCyclesInf);
+    const EventId b = q.schedule(6.0, [&](Cycles) { ran_b = true; });
+    EXPECT_NE(a, b);
+    q.deschedule(a);
+    EXPECT_EQ(q.pending(), 1u);
+    q.runUntil();
+    EXPECT_FALSE(ran_a);
+    EXPECT_TRUE(ran_b);
+}
+
+TEST(EventQueue, FifoTieBreakHoldsAcrossSlotReuse)
+{
+    EventQueue q;
+    std::vector<int> order;
+    q.schedule(1.0, [](Cycles) {});
+    q.schedule(1.0, [](Cycles) {});
+    q.schedule(10.0, [&](Cycles) { order.push_back(0); });
+    ASSERT_TRUE(q.step());
+    ASSERT_TRUE(q.step());
+    // Later insertions land in the two lower, recycled slots but must
+    // still run after the older event at the same (time, priority).
+    q.schedule(10.0, [&](Cycles) { order.push_back(1); });
+    q.schedule(10.0, [&](Cycles now) {
+        order.push_back(2);
+        q.schedule(now, [&](Cycles) { order.push_back(4); });
+    });
+    q.schedule(10.0, [&](Cycles) { order.push_back(3); });
+    q.runUntil();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, ChurnMatchesOrderedSetModel)
+{
+    // Seeded random schedule / deschedule / step churn against a
+    // reference model: a std::set ordered by (when, priority, seq).
+    // Deschedule targets any id ever issued — pending, fired or
+    // cancelled — so stale ids meet recycled slots constantly.
+    using Key = std::tuple<Cycles, int, int>;
+    EventQueue q;
+    std::set<Key> model;
+    std::map<EventId, Key> issued;
+    std::vector<EventId> ids;
+    std::vector<int> fired;
+    Rng rng(0x6576656e7471ull);
+    int next_label = 0;
+    for (int op = 0; op < 20000; ++op) {
+        const auto dice = rng.below(10);
+        if (dice < 5) {
+            // Coarse times and priorities make ties common.
+            const Cycles when =
+                q.now() + static_cast<double>(rng.below(4));
+            const auto prio = static_cast<EventPriority>(rng.below(5));
+            const int label = next_label++;
+            const EventId id = q.schedule(
+                when, [&fired, label](Cycles) { fired.push_back(label); },
+                prio);
+            ASSERT_EQ(issued.count(id), 0u) << "id reissued";
+            const Key k{when, static_cast<int>(prio), label};
+            issued.emplace(id, k);
+            ids.push_back(id);
+            model.insert(k);
+        } else if (dice < 7 && !ids.empty()) {
+            const EventId id = ids[rng.below(ids.size())];
+            q.deschedule(id);
+            model.erase(issued.at(id));
+        } else {
+            const bool ran = q.step();
+            ASSERT_EQ(ran, !model.empty());
+            if (ran) {
+                ASSERT_FALSE(fired.empty());
+                EXPECT_EQ(fired.back(), std::get<2>(*model.begin()));
+                EXPECT_EQ(q.now(), std::get<0>(*model.begin()));
+                model.erase(model.begin());
+            }
+        }
+        ASSERT_EQ(q.pending(), model.size()) << "op " << op;
+        ASSERT_EQ(q.empty(), model.empty());
+    }
+    while (q.step()) {
+        EXPECT_EQ(fired.back(), std::get<2>(*model.begin()));
+        model.erase(model.begin());
+        ASSERT_EQ(q.pending(), model.size());
+    }
+    EXPECT_TRUE(model.empty());
 }
 
 TEST(Clock, DefaultMatchesTableII)
