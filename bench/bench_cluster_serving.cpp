@@ -36,12 +36,6 @@ using namespace neu10;
 namespace
 {
 
-/** The canonical fleet (tenant mix, rates, SLOs, horizon): one
- * committed scenario file, shared with tools/neu10_run and the
- * parity/golden test suites. */
-const char *const kBaseScenario =
-    NEU10_SCENARIO_DIR "/cluster_first_fit.scn";
-
 /** One sweep point: the loaded scenario with placement, core policy
  * and traffic shape overridden. */
 FleetConfig
@@ -100,10 +94,11 @@ main(int argc, char **argv)
         PlacementPolicy::FirstFit, PlacementPolicy::BestFit,
         PlacementPolicy::LoadBalanced};
     PolicyKind core_policy = PolicyKind::Neu10;
-    Scenario base;
+    // The canonical fleet (tenant mix, rates, SLOs, horizon): one
+    // committed scenario file, shared with tools/neu10_run and the
+    // parity/golden test suites.
+    const Scenario base = bench::loadScenario("cluster_first_fit");
     try {
-        base = loadScenarioFile(kBaseScenario);
-        applyEnvOverrides(base);
         if (argc > 1)
             placements = {placementFromName(argv[1])};
         if (argc > 2)

@@ -3,17 +3,21 @@
  * Parallel elastic fleet engine: host-thread scaling and the
  * static-vs-elastic rebalancing comparison.
  *
- * Part 1 — thread scaling: one 4-board x 8-core fleet (32 cores, 48
- * tenants) is simulated with 1/2/4/8 host threads. Per-core
- * simulations are independent, so results must be bit-identical at
- * every width (checked) while wall-clock time drops; the speedup
- * column is the payoff of the common/threadpool runner. Wall-clock
- * numbers are host-dependent — on a single-CPU machine the speedup
- * is ~1x by construction (hardware threads are printed).
+ * Part 1 — thread scaling: the canonical perf fleet
+ * (scenarios/perf_fleet_4board.scn: 4 boards x 4 cores = 16 cores,
+ * 24 mixed tenants, 4 elastic epochs) is simulated at every requested
+ * host-thread width. Per-core simulations are independent, so
+ * results must be bit-identical at every width (checked: any
+ * MISMATCH fails the run with exit status 1) while wall-clock time
+ * drops; the speedup column is the payoff of the common/threadpool
+ * runner. Wall-clock numbers are host-dependent — on a single-CPU
+ * machine the speedup is ~1x by construction (hardware threads are
+ * printed).
  *
- * Part 2 — elastic rebalancing: 8 tenants land on a 2-board fleet by
+ * Part 2 — elastic rebalancing: scenarios/fleet_static.scn and
+ * scenarios/fleet_elastic.scn land 8 tenants on a 2-board fleet by
  * first-fit, which piles them onto the first cores while the tail of
- * the fleet idles; the traffic is bursty (MMPP-2). A static run
+ * the fleet idles; the traffic is bursty (MMPP-2). The static run
  * (epochs=1) keeps that placement for the whole horizon; the elastic
  * run splits the horizon into epochs and migrates vNPUs off the hot
  * cores between epochs (charging every move a migration cost through
@@ -24,73 +28,29 @@
  * Usage: bench_fleet_scaling [threads...]
  *   threads   thread widths for part 1 (default: 1 2 4 8)
  * NEU10_SEED=<n> reseeds the traffic; NEU10_SMOKE=1 shrinks the
- * horizon and the sweep for CI.
+ * horizons and the sweep for CI (both via scenario
+ * applyEnvOverrides).
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench_util.hh"
 #include "cluster/fleet.hh"
 #include "common/threadpool.hh"
-#include "vnpu/allocator.hh"
+#include "scenario/runner.hh"
 
 using namespace neu10;
 
 namespace
 {
 
-/** Tenant mix shared by both parts (same flavor as
- * bench_cluster_serving): two ME-heavy and two VE-heavy services. */
-const ModelId kModels[4] = {ModelId::Mnist, ModelId::Ncf,
-                            ModelId::Dlrm, ModelId::ResNet};
-const unsigned kBatches[4] = {32, 32, 32, 8};
-const unsigned kEus[4] = {2, 4, 4, 6};
-
-ClusterTenantSpec
-makeTenant(unsigned k, double rho, TrafficShape shape,
-           std::uint64_t seed, const NpuCoreConfig &core)
+/** Returns false when any width's results differ from the first. */
+bool
+partThreadScaling(const std::vector<unsigned> &widths)
 {
-    const Cycles service =
-        sizeVnpuForModel(kModels[k], kBatches[k], kEus[k], core)
-            .serviceEstimate();
-    ClusterTenantSpec t;
-    t.model = kModels[k];
-    t.batch = kBatches[k];
-    t.eus = kEus[k];
-    t.traffic.shape = shape;
-    t.traffic.ratePerSec = rho * core.freqHz / service;
-    t.traffic.seed = seed;
-    t.sloCycles = 5.0 * service;
-    t.maxQueueDepth = 32;
-    return t;
-}
-
-double
-wallSeconds(const FleetConfig &cfg, FleetResult &out)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    out = runFleet(cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-}
-
-void
-partThreadScaling(Cycles horizon, std::uint64_t seed,
-                  std::vector<unsigned> widths)
-{
-    FleetConfig cfg;
-    cfg.numBoards = 4;
-    cfg.board.coresPerChip = 4; // 2 chips x 4 = 8 cores per board
-    cfg.placement = PlacementPolicy::LoadBalanced;
-    cfg.horizon = horizon;
-    cfg.maxCycles = 50.0 * horizon;
-    for (unsigned i = 0; i < 48; ++i)
-        cfg.tenants.push_back(makeTenant(i % 4, 0.5,
-                                         TrafficShape::Poisson,
-                                         seed + i, cfg.board.core));
+    FleetConfig cfg = toFleetConfig(
+        bench::loadScenario("perf_fleet_4board"));
 
     std::printf("Part 1: thread scaling — %u cores, %zu tenants, "
                 "%u hardware threads on this host\n",
@@ -103,10 +63,12 @@ partThreadScaling(Cycles horizon, std::uint64_t seed,
 
     double t_serial = 0.0;
     FleetResult ref;
+    bool all_match = true;
     for (unsigned w : widths) {
         cfg.threads = w;
         FleetResult r;
-        const double secs = wallSeconds(cfg, r);
+        const double secs =
+            bench::wallSeconds([&] { r = runFleet(cfg); });
         if (w == widths.front()) {
             t_serial = secs;
             ref = r;
@@ -115,42 +77,27 @@ partThreadScaling(Cycles horizon, std::uint64_t seed,
                            r.rejected == ref.rejected &&
                            r.p99() == ref.p99() &&
                            r.makespan == ref.makespan;
+        all_match = all_match && match;
         std::printf("%-8u %10.3f %7.2fx %10llu %12.3f %8s\n", w,
                     secs, t_serial / secs,
                     static_cast<unsigned long long>(r.completed),
                     bench::toMs(r.p99()),
                     match ? "bit-eq" : "MISMATCH");
     }
+    return all_match;
 }
 
 void
-partElastic(Cycles horizon, std::uint64_t seed)
+partElastic(const Scenario &static_scn, const Scenario &elastic_scn)
 {
-    auto base = [&](unsigned epochs) {
-        FleetConfig cfg;
-        cfg.numBoards = 2; // x 4 cores
-        cfg.placement = PlacementPolicy::FirstFit;
-        cfg.horizon = horizon;
-        cfg.maxCycles = 50.0 * horizon;
-        cfg.threads = 1;
-        cfg.elastic.epochs = epochs;
-        cfg.elastic.imbalanceThreshold = 0.05;
-        cfg.elastic.maxMigrationsPerEpoch = 4;
-        // 8 small (2-EU) tenants, each offered 1.2x its own vNPU's
-        // capacity: first-fit stacks four per core on the first two
-        // cores while the other six idle, so the realized load is
-        // maximally lopsided and the hot cores are saturated. Only
-        // migrating vNPUs out — and growing them into the idle
-        // cores' EUs — adds real capacity.
-        for (unsigned i = 0; i < 8; ++i)
-            cfg.tenants.push_back(
-                makeTenant(0, 1.2, TrafficShape::Bursty, seed + i,
-                           cfg.board.core));
-        return cfg;
-    };
-
-    const FleetResult stat = runFleet(base(1));
-    const FleetResult elas = runFleet(base(8));
+    // 8 small (2-EU) tenants, each offered 1.2x its own vNPU's
+    // capacity: first-fit stacks four per core on the first two
+    // cores while the other six idle, so the realized load is
+    // maximally lopsided and the hot cores are saturated. Only
+    // migrating vNPUs out — and growing them into the idle cores'
+    // EUs — adds real capacity.
+    const FleetResult stat = runFleet(toFleetConfig(static_scn));
+    const FleetResult elas = runFleet(toFleetConfig(elastic_scn));
 
     std::printf("\nPart 2: static vs elastic under an imbalanced "
                 "bursty (MMPP-2) trace — first-fit, 8 cores\n");
@@ -208,22 +155,20 @@ main(int argc, char **argv)
     if (argc > 1) {
         widths.clear();
         for (int a = 1; a < argc; ++a)
-            widths.push_back(
-                static_cast<unsigned>(std::strtoul(argv[a], nullptr,
-                                                   10)));
+            widths.push_back(bench::countArg(argv[a], "threads"));
     }
     if (bench::smokeMode() && argc <= 1)
         widths = {1, 2};
 
-    const Cycles horizon = bench::smokeMode() ? 6e6 : 4e7;
-    const std::uint64_t seed = bench::benchSeed(42);
+    const Scenario static_scn = bench::loadScenario("fleet_static");
+    const Scenario elastic_scn = bench::loadScenario("fleet_elastic");
 
     bench::header(
         "Fleet scaling",
         csprintf("parallel elastic fleet engine (seed %llu)",
-                 static_cast<unsigned long long>(seed)));
+                 static_cast<unsigned long long>(static_scn.seed)));
 
-    partThreadScaling(horizon, seed, widths);
-    partElastic(horizon, seed);
-    return 0;
+    const bool bit_eq = partThreadScaling(widths);
+    partElastic(static_scn, elastic_scn);
+    return bit_eq ? 0 : 1;
 }

@@ -21,7 +21,6 @@
  * NEU10_SEED / NEU10_SMOKE apply via scenario applyEnvOverrides.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -125,15 +124,14 @@ runScenarioBothEngines(const char *path)
     applyEnvOverrides(s);
     FleetConfig cfg = toFleetConfig(s);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const FleetResult fast = runFleet(cfg);
-    const auto t1 = std::chrono::steady_clock::now();
+    FleetResult fast;
+    const double wall =
+        bench::wallSeconds([&] { fast = runFleet(cfg); });
     cfg.engine = SimEngine::PerCycle;
     const FleetResult ref = runFleet(cfg);
 
     LlmSummary out = summarize(s, fast);
-    out.wallSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
+    out.wallSeconds = wall;
     out.bitIdentical = sameResults(fast, ref);
     return out;
 }

@@ -6,14 +6,15 @@
  *
  * Three scenarios run under both engines on one host thread:
  *
- *  - fleet_4board   the canonical 4-board x 4-core fleet (16 cores,
- *                   24 mixed tenants, Poisson, 4 elastic epochs) —
- *                   the acceptance scenario: the fast-forward engine
+ *  - fleet_4board   the canonical 4-board x 4-core fleet
+ *                   (scenarios/perf_fleet_4board.scn: 16 cores, 24
+ *                   mixed tenants, Poisson, 4 elastic epochs) — the
+ *                   acceptance scenario: the fast-forward engine
  *                   must simulate cycles >= 5x faster than the
  *                   per-cycle reference here.
- *  - open_loop_core one core, four open-loop tenants at moderate
- *                   load — long idle/stall spans, the fast-forward
- *                   sweet spot.
+ *  - open_loop_core one core, one open-loop tenant from each of the
+ *                   perf fleet's four groups at moderate load — long
+ *                   idle/stall spans, the fast-forward sweet spot.
  *  - closed_loop    one core, two closed-loop tenants (§V-A style) —
  *                   event-dense, the fast-forward worst case.
  *
@@ -25,10 +26,10 @@
  * and CI uploads the smoke-mode JSON as the per-commit perf record.
  *
  * Usage: bench_perf_engine [--json=FILE]
- * NEU10_SEED=<n> reseeds the traffic; NEU10_SMOKE=1 shrinks horizons.
+ * NEU10_SEED=<n> reseeds the traffic; NEU10_SMOKE=1 shrinks horizons
+ * (the fleet's via scenario applyEnvOverrides).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -37,6 +38,7 @@
 #include "bench_util.hh"
 #include "cluster/fleet.hh"
 #include "common/threadpool.hh"
+#include "scenario/runner.hh"
 #include "sim/engine.hh"
 #include "vnpu/allocator.hh"
 
@@ -113,41 +115,6 @@ struct ScenarioResult
     }
 };
 
-ClusterTenantSpec
-makeTenant(unsigned k, double rho, std::uint64_t seed,
-           const NpuCoreConfig &core)
-{
-    // Same mixed-service flavor as bench_fleet_scaling: two ME-heavy
-    // and two VE-heavy models.
-    static const ModelId kModels[4] = {ModelId::Mnist, ModelId::Ncf,
-                                       ModelId::Dlrm, ModelId::ResNet};
-    static const unsigned kBatches[4] = {32, 32, 32, 8};
-    static const unsigned kEus[4] = {2, 4, 4, 6};
-    const unsigned m = k % 4;
-    const Cycles service =
-        sizeVnpuForModel(kModels[m], kBatches[m], kEus[m], core)
-            .serviceEstimate();
-    ClusterTenantSpec t;
-    t.model = kModels[m];
-    t.batch = kBatches[m];
-    t.eus = kEus[m];
-    t.traffic.ratePerSec = rho * core.freqHz / service;
-    t.traffic.seed = seed;
-    t.sloCycles = 5.0 * service;
-    t.maxQueueDepth = 32;
-    return t;
-}
-
-template <typename Fn>
-double
-wallSeconds(Fn &&fn)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-}
-
 /** Fold a fleet outcome into the comparable summary fields of an
  * EngineRun (everything but the wall clock). */
 void
@@ -173,7 +140,8 @@ measureFleet(FleetConfig cfg, SimEngine engine, unsigned reps)
     FleetResult r;
     for (unsigned i = 0; i < reps; ++i)
         run.wallSeconds = std::min(
-            run.wallSeconds, wallSeconds([&] { r = runFleet(cfg); }));
+            run.wallSeconds,
+            bench::wallSeconds([&] { r = runFleet(cfg); }));
     summarizeFleet(r, run);
     return run;
 }
@@ -188,7 +156,7 @@ measureServing(ServingConfig cfg, SimEngine engine, unsigned reps)
     for (unsigned i = 0; i < reps; ++i)
         run.wallSeconds = std::min(
             run.wallSeconds,
-            wallSeconds([&] { r = runServing(cfg); }));
+            bench::wallSeconds([&] { r = runServing(cfg); }));
     run.cyclesSimulated = r.makespan;
     for (const TenantResult &t : r.tenants) {
         run.completed += t.completed;
@@ -211,44 +179,32 @@ sameResults(const EngineRun &a, const EngineRun &b)
            a.cyclesSimulated == b.cyclesSimulated;
 }
 
-/** The acceptance scenario: 4 boards x 4 cores, 24 mixed tenants,
- * moderate Poisson load, 4 elastic epochs. */
-FleetConfig
-canonicalFleet(Cycles horizon, std::uint64_t seed)
-{
-    FleetConfig cfg;
-    cfg.numBoards = 4; // x (2 chips x 2 cores) = 16 cores
-    cfg.placement = PlacementPolicy::LoadBalanced;
-    cfg.horizon = horizon;
-    cfg.maxCycles = 50.0 * horizon;
-    cfg.threads = 1; // one host thread: a fair single-engine timing
-    cfg.elastic.epochs = 4;
-    for (unsigned i = 0; i < 24; ++i)
-        cfg.tenants.push_back(
-            makeTenant(i, 0.35, seed + i, cfg.board.core));
-    return cfg;
-}
-
+/** One core, one open-loop tenant per group of the perf fleet
+ * @p fleet at rho 0.2, each given half of its allocator-sized engine
+ * split. */
 ServingConfig
-openLoopCore(Cycles horizon, std::uint64_t seed)
+openLoopCore(const Scenario &fleet, Cycles horizon)
 {
     ServingConfig cfg;
     cfg.mode = ServingMode::OpenLoop;
     cfg.policy = PolicyKind::Neu10;
-    for (unsigned i = 0; i < 4; ++i) {
-        const ClusterTenantSpec ct =
-            makeTenant(i, 0.2, seed + 100 + i, cfg.core);
-        const VnpuSizing sizing = sizeVnpuForModel(
-            ct.model, ct.batch, ct.eus, cfg.core);
+    for (unsigned i = 0; i < fleet.groups.size(); ++i) {
+        const ScenarioTenantGroup &g = fleet.groups[i];
+        const VnpuSizing sizing =
+            sizeVnpuForModel(g.model, g.batch, g.eus, cfg.core);
+        TrafficSpec traffic;
+        traffic.ratePerSec =
+            0.2 * cfg.core.freqHz / sizing.serviceEstimate();
+        traffic.seed = fleet.seed + 100 + i;
         TenantSpec ts;
-        ts.model = ct.model;
-        ts.batch = ct.batch;
+        ts.model = g.model;
+        ts.batch = g.batch;
         ts.nMes = std::max(1u, sizing.config.numMesPerCore / 2);
         ts.nVes = std::max(1u, sizing.config.numVesPerCore / 2);
-        ts.arrivals = generateArrivals(ct.traffic, horizon,
-                                       cfg.core.freqHz);
-        ts.maxQueueDepth = 32;
-        ts.sloCycles = ct.sloCycles;
+        ts.arrivals =
+            generateArrivals(traffic, horizon, cfg.core.freqHz);
+        ts.maxQueueDepth = g.maxQueueDepth;
+        ts.sloCycles = g.sloFactor * sizing.serviceEstimate();
         cfg.tenants.push_back(ts);
     }
     return cfg;
@@ -344,12 +300,13 @@ main(int argc, char **argv)
         }
     }
 
-    const bool smoke = bench::smokeMode();
-    const std::uint64_t seed = bench::benchSeed(42);
+    const Scenario fleet = bench::loadScenario("perf_fleet_4board");
+    const bool smoke = fleet.smoke;
+    const std::uint64_t seed = fleet.seed;
     const double min_speedup = 5.0;
     // The per-cycle reference walks every simulated cycle, so the
-    // horizons here bound its wall time, not the fast engine's.
-    const Cycles fleet_horizon = smoke ? 4e6 : 1.6e7;
+    // horizons here (and the scenario's) bound its wall time, not
+    // the fast engine's.
     const Cycles core_horizon = smoke ? 4e6 : 3.2e7;
     const unsigned fast_reps = smoke ? 2 : 3;
 
@@ -364,7 +321,8 @@ main(int argc, char **argv)
     {
         ScenarioResult s;
         s.name = "fleet_4board";
-        const FleetConfig cfg = canonicalFleet(fleet_horizon, seed);
+        FleetConfig cfg = toFleetConfig(fleet);
+        cfg.trace = TraceConfig{}; // timed untraced; A/B'd below
         s.fast = measureFleet(cfg, SimEngine::EventDriven, fast_reps);
         s.ref = measureFleet(cfg, SimEngine::PerCycle, 1);
         s.bitIdentical = sameResults(s.fast, s.ref);
@@ -385,7 +343,7 @@ main(int argc, char **argv)
         for (unsigned i = 0; i < fast_reps; ++i)
             trun.wallSeconds =
                 std::min(trun.wallSeconds,
-                         wallSeconds([&] { tr = runFleet(tcfg); }));
+                         bench::wallSeconds([&] { tr = runFleet(tcfg); }));
         summarizeFleet(tr, trun);
         traced.wallSeconds = trun.wallSeconds;
         traced.events = tr.trace.totalEvents();
@@ -394,7 +352,7 @@ main(int argc, char **argv)
     {
         ScenarioResult s;
         s.name = "open_loop_core";
-        const ServingConfig cfg = openLoopCore(core_horizon, seed);
+        const ServingConfig cfg = openLoopCore(fleet, core_horizon);
         s.fast =
             measureServing(cfg, SimEngine::EventDriven, fast_reps);
         s.ref = measureServing(cfg, SimEngine::PerCycle, 1);

@@ -38,7 +38,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench_util.hh"
@@ -50,12 +49,6 @@ using namespace neu10;
 
 namespace
 {
-
-/** The acceptance fleet + board-loss fault trace, as a committed
- * scenario file shared with tools/neu10_run and the parity/golden
- * test suites. */
-const char *const kBaseScenario =
-    NEU10_SCENARIO_DIR "/resilience_board_loss.scn";
 
 void
 row(const char *name, const FleetResult &r)
@@ -211,16 +204,9 @@ partFaultSweep(const Scenario &scn)
 int
 main(int argc, char **argv)
 {
-    Scenario base;
-    try {
-        base = loadScenarioFile(kBaseScenario);
-        applyEnvOverrides(base);
-    } catch (const FatalError &err) {
-        bench::usageError(err);
-    }
+    Scenario base = bench::loadScenario("resilience_board_loss");
     if (argc > 1)
-        base.elastic.epochs = static_cast<unsigned>(
-            std::strtoul(argv[1], nullptr, 10));
+        base.elastic.epochs = bench::countArg(argv[1], "epochs");
     if (base.elastic.epochs < 2) {
         std::fprintf(stderr, "failover needs >= 2 epochs; using 2\n");
         base.elastic.epochs = 2;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared formatting helpers for the figure-reproduction binaries.
+ * Shared helpers for the bench binaries: env/CLI parsing, loading
+ * the committed scenario library, wall-clock timing and formatting.
  *
  * Every bench prints: a header naming the paper artifact it
  * regenerates, the fixed-width data table(s), and a short "shape"
@@ -10,15 +11,18 @@
 #ifndef NEU10_BENCH_BENCH_UTIL_HH
 #define NEU10_BENCH_BENCH_UTIL_HH
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
+#include "scenario/scenario.hh"
 #include "sim/clock.hh"
 
 namespace neu10
@@ -36,6 +40,38 @@ usageError(const FatalError &err)
     if (logLevel() < LogLevel::Warn)
         std::fprintf(stderr, "error: %s\n", err.what());
     std::exit(2);
+}
+
+/** Parse positional argument @p text as a count named @p what
+ * (common/env grammar, at most UINT_MAX); exit(2) on anything else
+ * instead of letting strtoul wrap "-1" into a huge value. */
+inline unsigned
+countArg(const char *text, const char *what)
+{
+    try {
+        const std::uint64_t v = parseUint64(text, what);
+        if (v > std::numeric_limits<unsigned>::max())
+            fatal("%s='%s' overflows a 32-bit count", what, text);
+        return static_cast<unsigned>(v);
+    } catch (const FatalError &err) {
+        usageError(err);
+    }
+}
+
+/** Load scenarios/<name>.scn from the committed library and apply
+ * the NEU10_* harness overrides (applyEnvOverrides); exit(2) on a
+ * malformed file or env value. */
+inline Scenario
+loadScenario(const std::string &name)
+{
+    try {
+        Scenario s = loadScenarioFile(
+            std::string(NEU10_SCENARIO_DIR) + "/" + name + ".scn");
+        applyEnvOverrides(s);
+        return s;
+    } catch (const FatalError &err) {
+        usageError(err);
+    }
 }
 
 /**
@@ -83,35 +119,15 @@ benchSeed(std::uint64_t fallback = 42)
     }
 }
 
-/**
- * True when NEU10_TRACE is set truthy (common/env grammar: on/1/
- * true/yes): trace-capable benches (bench_cluster_serving,
- * bench_resilience) then run with sim-time tracing enabled and write
- * a Chrome trace-event JSON file — plus a metrics JSON next to it —
- * after the run. Off by default: the overhead contract
- * (docs/OBSERVABILITY.md) is measured with tracing compiled in but
- * disabled.
- */
-inline bool
-traceMode()
+/** Host wall-clock seconds spent running @p fn. */
+template <typename Fn>
+inline double
+wallSeconds(Fn &&fn)
 {
-    try {
-        return envFlag("NEU10_TRACE", false);
-    } catch (const FatalError &err) {
-        usageError(err);
-    }
-}
-
-/**
- * Trace output path: NEU10_TRACE_OUT when set, @p fallback
- * otherwise. The metrics JSON lands at "<path>.metrics.json".
- * Scenario-backed benches get this via applyEnvOverrides instead
- * (scenario/scenario.hh), which uses the same envString grammar.
- */
-inline std::string
-traceOutPath(const char *fallback)
-{
-    return envString("NEU10_TRACE_OUT", fallback);
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
 }
 
 /** Print the bench banner. */

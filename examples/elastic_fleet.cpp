@@ -1,82 +1,54 @@
 /**
  * @file
  * Elastic scenario: a provider's capacity planner made a bad bet.
- * Eight small OCR tenants were first-fit-packed onto the first two
- * cores of an 8-core fleet; their traffic turns out bursty and ~20%
- * above each vNPU's solo capacity, so the two hot cores drown in
- * backlog while six cores idle. The elastic engine notices at the
- * first epoch boundary: it migrates vNPUs to the idle cores through
- * the hypervisor's destroy/create hypercalls (each move pays a
- * migration stall), re-runs the §III-B split against the destination
- * residency so the migrants grow into the idle EUs, and the serving
- * loop resumes with the carried backlogs. The printout follows the
- * rebalancer epoch by epoch and compares the final SLO report with
- * the static run.
+ * Eight small MNIST (OCR-style) tenants were first-fit-packed onto
+ * the first two cores of an 8-core fleet; their traffic turns out
+ * bursty and ~20% above each vNPU's solo capacity, so the two hot
+ * cores drown in backlog while six cores idle. The elastic engine
+ * notices at the first epoch boundary: it migrates vNPUs to the idle
+ * cores through the hypervisor's destroy/create hypercalls (each
+ * move pays a migration stall), re-runs the §III-B split against the
+ * destination residency so the migrants grow into the idle EUs, and
+ * the serving loop resumes with the carried backlogs. The printout
+ * follows the rebalancer epoch by epoch and compares the final SLO
+ * report with the static run.
+ *
+ * Both runs are committed scenarios: scenarios/fleet_static.scn
+ * (epochs = 1) and scenarios/fleet_elastic.scn (epochs = 8), which
+ * differ only in the epoch count. NEU10_SMOKE=1 and NEU10_SEED=<n>
+ * apply as in tools/neu10_run.
  *
  * Run: ./build/examples/elastic_fleet
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "cluster/fleet.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
+#include "scenario/runner.hh"
 #include "sim/clock.hh"
-#include "vnpu/allocator.hh"
 
 using namespace neu10;
-
-namespace
-{
-
-FleetConfig
-scenario(unsigned epochs, Cycles horizon)
-{
-    FleetConfig cfg;
-    cfg.numBoards = 2; // x 4 cores
-    cfg.placement = PlacementPolicy::FirstFit;
-    cfg.horizon = horizon;
-    cfg.maxCycles = 50.0 * horizon;
-    cfg.elastic.epochs = epochs;
-    cfg.elastic.imbalanceThreshold = 0.05;
-
-    const VnpuSizing sizing =
-        sizeVnpuForModel(ModelId::Mnist, 32, 2, cfg.board.core);
-    for (unsigned i = 0; i < 8; ++i) {
-        ClusterTenantSpec t;
-        t.model = ModelId::Mnist;
-        t.batch = 32;
-        t.eus = 2;
-        t.traffic.shape = TrafficShape::Bursty;
-        // 1.2x each vNPU's solo service rate: persistently overloaded
-        // until the fleet grants more engines.
-        t.traffic.ratePerSec = 1.2 * cfg.board.core.freqHz /
-                               sizing.serviceEstimate();
-        t.traffic.seed = 42 + i;
-        t.sloCycles = 5.0 * sizing.serviceEstimate();
-        t.maxQueueDepth = 32;
-        cfg.tenants.push_back(t);
-    }
-    return cfg;
-}
-
-} // anonymous namespace
 
 int
 main()
 {
     const Clock clock;
-    bool smoke = false;
+    Scenario static_scn;
+    Scenario elastic_scn;
     try {
-        smoke = envFlag("NEU10_SMOKE", false);
+        static_scn =
+            loadScenarioFile(NEU10_SCENARIO_DIR "/fleet_static.scn");
+        elastic_scn =
+            loadScenarioFile(NEU10_SCENARIO_DIR "/fleet_elastic.scn");
+        applyEnvOverrides(static_scn);
+        applyEnvOverrides(elastic_scn);
     } catch (const FatalError &) {
         return 2; // fatal() already printed the reason
     }
-    const Cycles horizon = smoke ? 6e6 : 3e7;
 
-    const FleetResult stat = runFleet(scenario(1, horizon));
-    const FleetResult elas = runFleet(scenario(8, horizon));
+    const FleetResult stat = runScenario(static_scn).fleet;
+    const FleetResult elas = runScenario(elastic_scn).fleet;
 
     std::printf("Elastic fleet: 8 overloaded 2-EU tenants, first-fit "
                 "onto 2 of 8 cores, bursty traffic\n\n");
@@ -118,8 +90,14 @@ main()
                 "engine pays %u migration stalls once, spreads the "
                 "vNPUs across the idle cores, and the re-run "
                 "allocator split grows each migrant's engine grant — "
-                "so the same hardware serves more requests at a "
-                "fraction of the tail latency.\n",
-                elas.migrations);
+                "so the same hardware serves %.2fx the requests and "
+                "rejects %.1f%% of arrivals instead of %.1f%%.\n",
+                elas.migrations,
+                stat.completed > 0
+                    ? static_cast<double>(elas.completed) /
+                          static_cast<double>(stat.completed)
+                    : 0.0,
+                100.0 * elas.rejectionRate(),
+                100.0 * stat.rejectionRate());
     return 0;
 }

@@ -2,94 +2,64 @@
  * @file
  * Failover scenario: a provider's fleet loses a whole board mid-day.
  *
- * Eight tenants are load-balanced one-per-core across a 2-board
- * fleet. At 40% of the horizon, board 0 trips off the fabric — four
- * cores gone, four vNPUs' device state with them. The failover
- * controller notices at the next epoch boundary: it quarantines the
- * dead cores in the placer, revokes their vNPUs through the
- * hypervisor's bulk host-side teardown (MMIO windows and IOMMU
- * attachments recycled), checkpoints each tenant's
- * admitted-but-unserved backlog, and restores the four vNPUs on the
- * surviving board — re-running the §III-B split against each
+ * Sixteen tenants are load-balanced across a 4-board x 4-core fleet.
+ * At 30% of the horizon, board 1 trips off the fabric — four cores
+ * gone, and the device state of every vNPU on them with them. The
+ * failover controller notices at the next epoch boundary: it
+ * quarantines the dead cores in the placer, revokes their vNPUs
+ * through the hypervisor's bulk host-side teardown (MMIO windows and
+ * IOMMU attachments recycled), checkpoints each tenant's
+ * admitted-but-unserved backlog, and restores the vNPUs on the
+ * surviving boards — re-running the §III-B split against each
  * destination's residency and charging a recovery stall. Requests
  * that arrived during the outage are delivered late and priced
- * against the SLO; nothing is silently dropped. The printout follows
- * the controller epoch by epoch and compares the outcome with the
- * same fleet running without failover.
+ * against the SLO instead of being dropped. The printout follows the
+ * controller epoch by epoch and compares the outcome with the same
+ * fleet running without failover.
+ *
+ * Both runs are committed scenarios:
+ * scenarios/resilience_board_loss.scn (failover on) and
+ * scenarios/resilience_no_failover.scn (the fail-and-forget
+ * baseline), with the same traffic and the same fault line.
+ * NEU10_SMOKE=1 and NEU10_SEED=<n> apply as in tools/neu10_run.
  *
  * Run: ./build/examples/failover_fleet
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "cluster/fleet.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
+#include "scenario/runner.hh"
 #include "sim/clock.hh"
-#include "vnpu/allocator.hh"
 
 using namespace neu10;
-
-namespace
-{
-
-FleetConfig
-scenario(bool failover, Cycles horizon)
-{
-    FleetConfig cfg;
-    cfg.numBoards = 2; // x 4 cores
-    cfg.placement = PlacementPolicy::LoadBalanced;
-    cfg.horizon = horizon;
-    cfg.maxCycles = 50.0 * horizon;
-    cfg.elastic.epochs = 6;
-    cfg.elastic.imbalanceThreshold = 1e18; // isolate the failover
-    cfg.resilience.failover = failover;
-    cfg.resilience.recoveryStallCycles = 1e5;
-
-    FaultEvent loss;
-    loss.at = 0.4 * horizon;
-    loss.kind = FaultKind::BoardLoss;
-    loss.board = 0;
-    loss.durationCycles = kCyclesInf;
-    cfg.resilience.faults = {loss};
-
-    const VnpuSizing sizing =
-        sizeVnpuForModel(ModelId::Mnist, 8, 4, cfg.board.core);
-    for (unsigned i = 0; i < 8; ++i) {
-        ClusterTenantSpec t;
-        t.model = ModelId::Mnist;
-        t.batch = 8;
-        t.eus = 4;
-        t.traffic.ratePerSec = 0.35 * cfg.board.core.freqHz /
-                               sizing.serviceEstimate();
-        t.traffic.seed = 42 + i;
-        t.sloCycles = 10.0 * sizing.serviceEstimate();
-        t.maxQueueDepth = 64;
-        cfg.tenants.push_back(t);
-    }
-    return cfg;
-}
-
-} // anonymous namespace
 
 int
 main()
 {
     const Clock clock;
-    bool smoke = false;
+    Scenario off_scn;
+    Scenario on_scn;
     try {
-        smoke = envFlag("NEU10_SMOKE", false);
+        off_scn = loadScenarioFile(NEU10_SCENARIO_DIR
+                                   "/resilience_no_failover.scn");
+        on_scn = loadScenarioFile(NEU10_SCENARIO_DIR
+                                  "/resilience_board_loss.scn");
+        applyEnvOverrides(off_scn);
+        applyEnvOverrides(on_scn);
     } catch (const FatalError &) {
         return 2; // fatal() already printed the reason
     }
-    const Cycles horizon = smoke ? 6e6 : 1.8e7;
 
-    const FleetResult off = runFleet(scenario(false, horizon));
-    const FleetResult on = runFleet(scenario(true, horizon));
+    const FleetResult off = runScenario(off_scn).fleet;
+    const FleetResult on = runScenario(on_scn).fleet;
 
-    std::printf("Failover fleet: 8 tenants on 2 boards; board 0 "
-                "(cores 0-3) dies at 40%% of the run\n\n");
+    const ScenarioFault &loss = on_scn.faults.front();
+    std::printf("Failover fleet: %u tenants on %u boards; board %u "
+                "dies at %.0f%% of the run\n\n",
+                on_scn.totalTenants(), on_scn.boards, loss.board,
+                100.0 * loss.atFrac);
 
     std::printf("The failover controller, epoch by epoch:\n");
     for (const FleetEpochReport &er : on.epochReports)
@@ -101,10 +71,12 @@ main()
                     er.failures, er.restores);
 
     std::printf("\nWhere the evicted tenants landed:\n");
+    unsigned evicted = 0;
     for (size_t i = 0; i < on.tenants.size(); ++i) {
         const TenantResult &tr = on.tenants[i];
         if (tr.failovers == 0)
             continue;
+        ++evicted;
         std::printf("  tenant %zu: restored on core %u as %uM%uV, "
                     "%llu requests carried through, %.2f ms down\n",
                     i, on.placements[i].core, on.placements[i].nMes,
@@ -128,17 +100,19 @@ main()
     report("no-failover", off);
     report("failover", on);
 
-    std::printf("\nReading: half the fleet's hardware is gone either "
-                "way — availability is %.1f%% in both rows. Without "
-                "failover that costs every post-fault request of "
-                "four tenants (%llu lost). With it, the controller "
-                "pays four recovery stalls (MTTR %.2f ms), packs the "
-                "survivors' spare engines with the restored vNPUs, "
-                "and the same hardware loses nothing — the outage "
-                "shows up as tail latency instead of dropped "
-                "traffic.\n",
-                100.0 * on.availability,
+    std::printf("\nReading: a quarter of the fleet's hardware is "
+                "gone either way — availability is %.1f%% with "
+                "failover and %.1f%% without. Without failover that "
+                "costs every post-fault request of %u tenants (%llu "
+                "lost). With it, the controller pays %u recovery "
+                "stalls (MTTR %.2f ms), packs the survivors' spare "
+                "engines with the restored vNPUs, and the same "
+                "hardware loses %llu — the outage shows up as tail "
+                "latency instead of dropped traffic.\n",
+                100.0 * on.availability, 100.0 * off.availability,
+                evicted,
                 static_cast<unsigned long long>(off.lostRequests),
-                clock.toSeconds(on.mttrCycles) * 1e3);
+                on.failovers, clock.toSeconds(on.mttrCycles) * 1e3,
+                static_cast<unsigned long long>(on.lostRequests));
     return 0;
 }

@@ -234,9 +234,13 @@ runFleet(const FleetConfig &config)
     // NEU10_FLEET_THREADS overrides the configured width (results are
     // bit-identical at any width, so this is safe everywhere). The
     // TSan CI cell sets it to force real concurrency through tests
-    // whose configs default to serial.
-    ThreadPool pool(static_cast<unsigned>(
-        envUint64("NEU10_FLEET_THREADS", config.threads)));
+    // whose configs default to serial. A parallelFor here never has
+    // more than max(cores, tenants) indices, so wider requests are
+    // clamped to that before narrowing (0 still means host width).
+    const std::uint64_t max_width =
+        std::max<std::uint64_t>({num_cores, num_tenants, 1});
+    ThreadPool pool(static_cast<unsigned>(std::min(
+        envUint64("NEU10_FLEET_THREADS", config.threads), max_width)));
 
     // Compile every placed tenant's binary exactly once; epochs and
     // host threads share the read-only programs (NeuISA binaries are

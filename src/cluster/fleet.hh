@@ -180,7 +180,8 @@ struct FleetConfig
     Cycles maxCycles = 2e9;
 
     /** Host threads running per-core simulations concurrently:
-     * 1 = serial (no pool), 0 = one per hardware thread. Results are
+     * 1 = serial (no pool), 0 = one per hardware thread; widths above
+     * max(cores, tenants) are clamped to that bound. Results are
      * bit-identical for every value. The NEU10_FLEET_THREADS
      * environment variable, when set, overrides this (the TSan CI
      * cell uses it to force real concurrency through every fleet

@@ -147,6 +147,12 @@ def main():
         expect(rc == 2 and "python3-clang" in out,
                "explicit libclang without bindings exits 2 with hint")
 
+    # ---- the retired ast-json frontend is an unknown choice -------
+    rc, out = run(tool, "--root", fixtures / "clean",
+                  "--frontend", "ast-json")
+    expect(rc == 2 and "invalid choice" in out,
+           "--frontend ast-json is rejected with exit 2")
+
     # ---- auto frontend: verdicts agree on any runner --------------
     rc, _ = run(tool, "--root", fixtures / "violations",
                 "--frontend", "auto")

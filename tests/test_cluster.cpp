@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <gtest/gtest.h>
 
 #include "cluster/fleet.hh"
 #include "cluster/placement.hh"
 #include "cluster/traffic.hh"
 #include "common/logging.hh"
+#include "result_eq.hh"
 #include "runtime/serving.hh"
 #include "sim/clock.hh"
 #include "vnpu/allocator.hh"
@@ -921,6 +923,20 @@ TEST(Fleet, ThreadCountDoesNotChangeResults)
                       parallel.cores[c].euUtil);
         }
     }
+}
+
+TEST(Fleet, HugeThreadWidthIsClampedAndMatchesSerial)
+{
+    // A width far beyond the fleet's parallelism (UINT_MAX, e.g. a
+    // wrapped "-1") is clamped to max(cores, tenants) instead of
+    // spawning that many workers; results stay bit-identical.
+    auto cfg = smallFleet(PlacementPolicy::LoadBalanced, 2);
+    cfg.horizon = 2e6;
+    cfg.threads = 1;
+    const auto serial = runFleet(cfg);
+    cfg.threads = std::numeric_limits<unsigned>::max();
+    EXPECT_GT(serial.completed, 0u);
+    expectFleetEq(serial, runFleet(cfg));
 }
 
 /** The bench_fleet_scaling part-2 scenario, shrunk: 8 overloaded

@@ -6,11 +6,13 @@
  * same results, bit for bit (tests/result_eq.hh, no tolerances).
  *
  * The hand-wired recipes below are copied verbatim from the benches
- * as they stood before the scenario conversion (bench_cluster_serving
- * and bench_resilience are thin wrappers now; bench_fleet_scaling,
- * bench_perf_engine and bench_fig19_21_serving still carry theirs).
- * That duplication is the point: the scenario file, the bench and
- * this test must all agree, so none of the three can drift silently.
+ * as they stood before the scenario conversion. Every fleet bench
+ * (bench_cluster_serving, bench_resilience, bench_fleet_scaling,
+ * bench_perf_engine) and fleet example now loads the scenario files
+ * instead, so these frozen recipes are the only hand-built copies
+ * left and serve as the oracle: a scenario file that drifts from the
+ * numbers its bench used to produce fails here. Only
+ * bench_fig19_21_serving still carries its own (closed-loop) recipe.
  *
  * Runs use the scenarios' smoke horizons — parity at the short
  * horizon implies parity at the full one (identical configs modulo

@@ -41,14 +41,12 @@ Frontends (--frontend, default "auto" = best available):
   libclang   clang.cindex over compile_commands.json — genuine AST
              and type queries. Needs the libclang Python bindings
              (apt: python3-clang).
-  ast-json   `clang++ -Xclang -ast-dump=json` per TU — same AST,
-             driver only, no bindings needed.
   textual    pure-Python scanner/scope-tracker — no clang at all.
              Approximates types from declaration text; keeps the
              gate alive on toolchain-less runners.
 
-Requesting libclang/ast-json explicitly when unavailable exits 2
-with a clear message; "auto" degrades (with a warning) instead so CI
+Requesting libclang explicitly when unavailable exits 2 with a clear
+message; "auto" degrades to textual (with a warning) instead so CI
 always gets a verdict. Deliberate exceptions use the same escape as
 the lint, anchored to the finding line (same or immediately
 preceding line):
@@ -61,7 +59,7 @@ parse results keyed on content digest so repeated CI runs only
 re-parse what changed.
 
 Usage: python3 tools/neu10_analyze.py [--root DIR] [--build-dir DIR]
-           [--frontend auto|libclang|ast-json|textual] [--json PATH]
+           [--frontend auto|libclang|textual] [--json PATH]
            [--cache-dir DIR] [--entry NAME]... [--list-rules]
 Exit status: 0 clean, 1 findings, 2 setup error.
 """
@@ -72,8 +70,6 @@ import json
 import os
 import pathlib
 import re
-import shutil
-import subprocess
 import sys
 
 SCHEMA = "neu10-analyze-v1"
@@ -861,215 +857,6 @@ def parse_with_libclang(root, files, compile_args):
 
 
 # ---------------------------------------------------------------------------
-# clang -ast-dump=json frontend
-# ---------------------------------------------------------------------------
-
-def find_clang():
-    for cand in (os.environ.get("CLANGXX"), "clang++", "clang"):
-        if cand and shutil.which(cand):
-            return shutil.which(cand)
-    return None
-
-
-def parse_with_astjson(root, files, compile_args, clang_bin):
-    """Parse each file via `clang -Xclang -ast-dump=json` into the
-    shared IR. Raises on failure (caller falls back)."""
-    irs = []
-    for path in files:
-        rel_posix = path.relative_to(root).as_posix()
-        args = compile_args.get(str(path),
-                                ["-std=c++20", f"-I{root / 'src'}"])
-        cmd = [clang_bin, "-x", "c++", "-fsyntax-only",
-               "-Xclang", "-ast-dump=json", *args, str(path)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0 and not proc.stdout:
-            raise RuntimeError(
-                f"{rel_posix}: clang failed: "
-                f"{proc.stderr.splitlines()[:1]}")
-        ast = json.loads(proc.stdout)
-        ir = {
-            "file": rel_posix, "functions": [],
-            "members_unordered": {}, "members_ptrkey": {},
-            "file_unordered": [], "file_ptrkey": [], "globals": [],
-        }
-        state = {"file": None, "line": 0}
-
-        def loc(node):
-            l = node.get("loc") or {}
-            if "file" in l:
-                state["file"] = l["file"]
-            if "line" in l:
-                state["line"] = l["line"]
-            sp = l.get("spellingLoc") or {}
-            if "file" in sp:
-                state["file"] = sp["file"]
-            if "line" in sp:
-                state["line"] = sp["line"]
-            return state["line"]
-
-        def in_main_file():
-            f = state["file"]
-            return f is None or \
-                pathlib.Path(f).resolve() == path.resolve()
-
-        def tspell(node):
-            return ((node.get("type") or {}).get("qualType", ""))
-
-        def is_unordered_t(t):
-            return "unordered_map" in t or "unordered_set" in t
-
-        def is_ptrkey_t(t):
-            m = re.search(r"\b(?:multi)?(?:map|set)<", t)
-            if not m or "unordered" in t[:m.start()]:
-                return False
-            inner = t[m.end():]
-            depth = 0
-            for i, ch in enumerate(inner):
-                if ch == "<":
-                    depth += 1
-                elif ch == ">" and depth:
-                    depth -= 1
-                elif ch == "," and depth == 0 or \
-                        (ch == ">" and depth == 0):
-                    return "*" in inner[:i]
-            return False
-
-        def walk_body(fn, node):
-            kind = node.get("kind", "")
-            line = loc(node)
-            if kind in ("CallExpr", "CXXMemberCallExpr",
-                        "CXXOperatorCallExpr"):
-                callee = find_callee(node)
-                if callee:
-                    fn["calls"].append([callee, line])
-                    for category, rx, what, exempt in BANNED_SOURCES:
-                        if rx.search(callee) or \
-                                rx.search(callee + "("):
-                            fn["banned"].append(
-                                [category, what, line, exempt])
-            elif kind == "DeclRefExpr":
-                ref = (node.get("referencedDecl") or {})
-                nm = ref.get("name", "")
-                qn = qual_of(ref)
-                full = qn + nm
-                for category, rx, what, exempt in BANNED_SOURCES:
-                    if rx.search(full) or rx.search(full + "("):
-                        fn["banned"].append(
-                            [category, what, line, exempt])
-            elif kind == "VarDecl":
-                t = tspell(node)
-                if is_unordered_t(t):
-                    fn["locals_unordered"].append(node.get("name", ""))
-                if is_ptrkey_t(t):
-                    fn["locals_ptrkey"].append(node.get("name", ""))
-                if RESULT_TYPE_RE.search(t):
-                    fn["result_flow"] = True
-            elif kind == "CXXForRangeStmt":
-                rng = (node.get("inner") or [])
-                for sub in rng:
-                    if sub.get("kind") == "DeclStmt":
-                        for d in sub.get("inner") or []:
-                            t = tspell(d)
-                            if is_unordered_t(t):
-                                fn["iters"].append(
-                                    [d.get("name", "(range)"), line])
-                                fn["locals_unordered"].append(
-                                    d.get("name", "(range)"))
-                            if is_ptrkey_t(t):
-                                fn["iters"].append(
-                                    [d.get("name", "(range)"), line])
-                                fn["locals_ptrkey"].append(
-                                    d.get("name", "(range)"))
-            for sub in node.get("inner") or []:
-                walk_body(fn, sub)
-
-        def qual_of(ref):
-            # ast-dump JSON carries no qualified name; approximate
-            # from the mangled name when present.
-            return ""
-
-        def find_callee(node):
-            for sub in node.get("inner") or []:
-                k = sub.get("kind")
-                if k == "ImplicitCastExpr":
-                    r = find_callee(sub)
-                    if r:
-                        return r
-                elif k in ("DeclRefExpr", "MemberExpr"):
-                    ref = sub.get("referencedDecl") or {}
-                    return ref.get("name") or sub.get("name", "")
-            return None
-
-        def walk(node, cls=""):
-            kind = node.get("kind", "")
-            line = loc(node)
-            if kind in ("FunctionDecl", "CXXMethodDecl",
-                        "CXXConstructorDecl", "CXXDestructorDecl") \
-                    and node.get("inner") and in_main_file():
-                has_body = any(s.get("kind") == "CompoundStmt"
-                               for s in node["inner"])
-                if has_body:
-                    nm = node.get("name", "(unknown)")
-                    fn = {
-                        "qname": (cls + "::" + nm) if cls else nm,
-                        "name": nm, "cls": cls, "file": rel_posix,
-                        "line": line,
-                        "end_line": ((node.get("range") or {})
-                                     .get("end", {}).get("line",
-                                                         line)),
-                        "calls": [], "banned": [], "iters": [],
-                        "locals_unordered": [], "locals_ptrkey": [],
-                        "result_flow": False,
-                        "sig": tspell(node),
-                    }
-                    if RESULT_TYPE_RE.search(tspell(node)) or \
-                            JSON_NAME_RE.search(nm) or \
-                            "ostream" in tspell(node):
-                        fn["result_flow"] = True
-                    for sub in node["inner"]:
-                        if sub.get("kind") == "CompoundStmt":
-                            walk_body(fn, sub)
-                    ir["functions"].append(fn)
-                    return
-            if kind == "FieldDecl" and in_main_file():
-                t = tspell(node)
-                if is_unordered_t(t):
-                    ir["members_unordered"].setdefault(
-                        cls or "(anon)", []).append(
-                            node.get("name", ""))
-                if is_ptrkey_t(t):
-                    ir["members_ptrkey"].setdefault(
-                        cls or "(anon)", []).append(
-                            node.get("name", ""))
-            if kind == "VarDecl" and in_main_file() and \
-                    node.get("name"):
-                t = tspell(node)
-                exempt_via = None
-                if "const" in t.split("*")[-1] or \
-                        t.startswith("const "):
-                    exempt_via = "const"
-                if "atomic" in t:
-                    exempt_via = "std::atomic"
-                if node.get("tls"):
-                    exempt_via = "thread_local"
-                if node.get("constexpr"):
-                    exempt_via = "constexpr"
-                ir["globals"].append({
-                    "name": node["name"], "line": line,
-                    "text": t[:120], "exempt_via": exempt_via,
-                })
-            next_cls = cls
-            if kind in ("CXXRecordDecl",) and node.get("name"):
-                next_cls = node["name"]
-            for sub in node.get("inner") or []:
-                walk(sub, next_cls)
-
-        walk(ast)
-        irs.append(ir)
-    return irs
-
-
-# ---------------------------------------------------------------------------
 # Program assembly + rules
 # ---------------------------------------------------------------------------
 
@@ -1272,8 +1059,8 @@ def digest(path):
 def parse_all(frontend, root, files, compile_args, cache_dir,
               warnings):
     """Parse `files` with the chosen frontend, consulting the
-    per-file digest cache. Clang-based frontends parse whole TUs (so
-    caching is per file all the same — key covers frontend)."""
+    per-file digest cache. libclang parses whole TUs (so caching is
+    per file all the same — key covers frontend)."""
     cache = pathlib.Path(cache_dir) if cache_dir else None
     if cache:
         cache.mkdir(parents=True, exist_ok=True)
@@ -1295,11 +1082,8 @@ def parse_all(frontend, root, files, compile_args, cache_dir,
         if frontend == "textual":
             fresh = [parse_tu_textual(p, p.relative_to(root).as_posix())
                      for p in missing]
-        elif frontend == "libclang":
-            fresh = parse_with_libclang(root, missing, compile_args)
         else:
-            fresh = parse_with_astjson(root, missing, compile_args,
-                                       find_clang())
+            fresh = parse_with_libclang(root, missing, compile_args)
         if cache:
             for path, ir in zip(missing, fresh):
                 (cache / cache_key(path)).write_text(
@@ -1315,19 +1099,12 @@ def pick_frontend(requested, warnings):
                   "importable (install python3-clang) — requested "
                   "frontend unavailable", file=sys.stderr)
             raise SystemExit(2)
-        if requested == "ast-json" and find_clang() is None:
-            print("neu10_analyze: no clang/clang++ driver on PATH — "
-                  "requested frontend unavailable", file=sys.stderr)
-            raise SystemExit(2)
         return requested
     if libclang_available():
         return "libclang"
-    if find_clang() is not None:
-        return "ast-json"
     warnings.append(
-        "libclang bindings and clang driver both absent — using the "
-        "pure-Python textual frontend (types approximated from "
-        "declaration text)")
+        "libclang bindings absent — using the pure-Python textual "
+        "frontend (types approximated from declaration text)")
     return "textual"
 
 
@@ -1337,10 +1114,9 @@ def main():
                     help="repo root holding src/ (default: cwd)")
     ap.add_argument("--build-dir", default=None,
                     help="build dir holding compile_commands.json "
-                         "(clang frontends; optional)")
+                         "(libclang frontend; optional)")
     ap.add_argument("--frontend", default="auto",
-                    choices=["auto", "libclang", "ast-json",
-                             "textual"])
+                    choices=["auto", "libclang", "textual"])
     ap.add_argument("--json", dest="json_out", default=None,
                     help="write the findings record here "
                          f"(schema {SCHEMA})")
