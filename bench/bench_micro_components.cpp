@@ -143,8 +143,11 @@ BENCHMARK(BM_AllocatorSweep);
 void
 BM_SchedulerRound(benchmark::State &state)
 {
-    // One full simulated inference of a synthetic 64-group model on a
-    // loaded 2-tenant core: measures end-to-end simulator throughput.
+    // One full simulated inference per slot of a synthetic 64-group
+    // model on a core whose 4 MEs and 4 VEs are split evenly over
+    // range(0) slots (fleet cores average 1.73 slots). The cost is
+    // dominated by the per-event core step; the "events" counter is
+    // events per iteration, so ns per event is Time / events.
     CompiledModel m;
     m.model = "synthetic";
     m.batch = 1;
@@ -169,22 +172,26 @@ BM_SchedulerRound(benchmark::State &state)
     m.ops.push_back(op);
     m.validate();
 
+    const auto nslots = static_cast<unsigned>(state.range(0));
+    std::uint64_t events = 0;
     for (auto _ : state) {
         EventQueue queue;
-        std::vector<VnpuSlot> slots(2);
+        std::vector<VnpuSlot> slots(nslots);
         for (auto &s : slots) {
-            s.nMes = 2;
-            s.nVes = 2;
+            s.nMes = 4 / nslots;
+            s.nVes = 4 / nslots;
         }
         NpuCoreSim core(queue, NpuCoreConfig{},
                         makePolicy(PolicyKind::Neu10), slots);
-        core.submit(0, &m, nullptr);
-        core.submit(1, &m, nullptr);
+        for (std::uint32_t s = 0; s < nslots; ++s)
+            core.submit(s, &m, nullptr);
         queue.runUntil();
-        benchmark::DoNotOptimize(queue.executed());
+        events = queue.executed();
+        benchmark::DoNotOptimize(events);
     }
+    state.counters["events"] = static_cast<double>(events);
 }
-BENCHMARK(BM_SchedulerRound);
+BENCHMARK(BM_SchedulerRound)->Arg(1)->Arg(2)->Arg(4);
 
 } // anonymous namespace
 } // namespace neu10

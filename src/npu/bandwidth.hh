@@ -25,11 +25,13 @@
 namespace neu10
 {
 
-/** One entry of the water-fill order: demand per unit weight. */
+/** One entry of the water-fill order: demand per unit weight. No
+ * default initializers: maxMinFill's on-stack order buffer is written
+ * before it is read, so it is not cleared on every call. */
 struct MaxMinKey
 {
-    double level = 0.0;
-    std::uint32_t index = 0;
+    double level;
+    std::uint32_t index;
 };
 
 /** Consumers maxMinFill orders without touching its scratch. */

@@ -19,7 +19,7 @@ constexpr double kDoneEps = 1e-7;
 } // anonymous namespace
 
 /** Execution state of one inference request. */
-struct NpuCoreSim::RequestExec
+struct RequestExec
 {
     std::uint64_t id = 0;
     std::uint32_t slot = 0;
@@ -136,9 +136,12 @@ NpuCoreSim::enqueueReadyUnits(RequestExec &req, std::uint32_t op_idx,
         raw->meEff = w.meEff;
         raw->veTime = w.veTime;
         raw->bytes = w.bytes;
-        raw->request = req.id;
+        raw->request = &req;
         raw->opIdx = op_idx;
         raw->readyAt = now;
+        if (raw->kind == UTopKind::Me && raw->meTime > 0.0)
+            raw->meRate = std::min(1e18, 1.0 / raw->meTime);
+        raw->veDemand = raw->veDemandRate();
 
         if (raw->kind == UTopKind::Me)
             slots_[req.slot].readyMe.push_back(raw);
@@ -241,6 +244,11 @@ NpuCoreSim::removeFromReady(UnitRun *u)
 {
     auto &q = u->kind == UTopKind::Me ? slots_[u->slot].readyMe
                                       : slots_[u->slot].readyVe;
+    // Policies start units from the head of the queue.
+    if (!q.empty() && q.front() == u) {
+        q.pop_front();
+        return;
+    }
     auto it = std::find(q.begin(), q.end(), u);
     NEU10_ASSERT(it != q.end(), "unit %llu not in ready queue",
                  static_cast<unsigned long long>(u->id));
@@ -262,11 +270,8 @@ NpuCoreSim::bindMe(UnitRun *u, std::uint32_t budget_slot,
     running_.push_back(u);
 
     if (captureOpTimings_) {
-        auto it = requests_.find(u->request);
-        if (it != requests_.end()) {
-            OpTiming &t = it->second->timings[u->opIdx];
-            t.start = std::min(t.start, queue_.now());
-        }
+        OpTiming &t = u->request->timings[u->opIdx];
+        t.start = std::min(t.start, queue_.now());
     }
 }
 
@@ -297,14 +302,12 @@ NpuCoreSim::startVe(UnitRun *u)
                  "VE instruction queues exhausted");
     removeFromReady(u);
     u->running = true;
+    ++runningVe_;
     running_.push_back(u);
 
     if (captureOpTimings_) {
-        auto it = requests_.find(u->request);
-        if (it != requests_.end()) {
-            OpTiming &t = it->second->timings[u->opIdx];
-            t.start = std::min(t.start, queue_.now());
-        }
+        OpTiming &t = u->request->timings[u->opIdx];
+        t.start = std::min(t.start, queue_.now());
     }
 }
 
@@ -317,6 +320,7 @@ NpuCoreSim::preemptVe(UnitRun *u)
     u->rate = 0.0;
     u->veShare = 0.0;
     ++u->preemptions;
+    --runningVe_;
     running_.erase(std::find(running_.begin(), running_.end(), u));
     slots_[u->slot].readyVe.push_front(u);
 }
@@ -343,109 +347,123 @@ NpuCoreSim::lastHarvesterOn(std::uint32_t slot)
     return nullptr;
 }
 
-unsigned
-NpuCoreSim::runningVeUnits() const
-{
-    unsigned n = 0;
-    for (const UnitRun *u : running_)
-        if (u->kind == UTopKind::Ve)
-            ++n;
-    return n;
-}
-
-void
-NpuCoreSim::computeShares()
+NpuCoreSim::StepTotals
+NpuCoreSim::computeShares(Cycles now)
 {
     // HBM: two-level max-min — equal split between vNPUs with traffic,
     // then between each vNPU's units (§III-B fair sharing by default).
     const double bpc = cfg_.hbmBytesPerCycle();
 
-    // Unconstrained rate (ME + VE constraints only).
-    auto base_rate = [](const UnitRun *u) {
-        if (u->penalty > 0.0)
-            return 0.0;
-        double r = 1e18;
-        if (u->kind == UTopKind::Me && u->meTime > 0.0)
-            r = std::min(r, 1.0 / u->meTime);
-        if (u->veTime > 0.0)
-            r = std::min(r, u->veShare / u->veTime);
-        if (r >= 1e18)
-            r = 1.0; // degenerate unit: all streams empty
-        return r;
-    };
-
-    // One pass buckets the traffic-bearing units by slot (preserving
-    // running-set order within each slot, which the per-unit max-min
-    // split below depends on) while summing per-slot demand.
-    scratchDemand_.assign(slots_.size(), 0.0);
+    // One pass computes each unit's unconstrained rate (ME + VE
+    // constraints only) and buckets the traffic-bearing units by slot,
+    // preserving running-set order within each slot, which the
+    // per-unit max-min split below depends on.
     if (scratchSlotUnits_.size() != slots_.size())
         scratchSlotUnits_.resize(slots_.size());
     for (auto &bucket : scratchSlotUnits_)
         bucket.clear();
     for (UnitRun *u : running_) {
-        const double d = base_rate(u) * static_cast<double>(u->bytes);
-        scratchDemand_[u->slot] += d;
+        double r = 0.0;
+        if (u->penalty <= 0.0) {
+            r = u->meRate;
+            if (u->veTime > 0.0)
+                r = std::min(r, u->veShare / u->veTime);
+            if (r >= 1e18)
+                r = 1.0; // degenerate unit: all streams empty
+        }
+        u->baseRate = r;
         if (u->bytes != 0)
             scratchSlotUnits_[u->slot].push_back(u);
     }
-    scratchSlotGrant_.resize(slots_.size());
+
+    // The vNPU-level fill sees only slots with traffic-bearing units,
+    // in slot order. A slot without one demands exactly 0, and a zero
+    // demand neither receives capacity nor counts towards the split,
+    // so leaving it out changes no grant.
+    scratchActiveSlots_.clear();
+    scratchDemand_.clear();
+    for (std::uint32_t s = 0; s < slots_.size(); ++s) {
+        if (scratchSlotUnits_[s].empty())
+            continue;
+        double d = 0.0;
+        for (const UnitRun *u : scratchSlotUnits_[s])
+            d += u->baseRate * static_cast<double>(u->bytes);
+        scratchActiveSlots_.push_back(s);
+        scratchDemand_.push_back(d);
+    }
+    scratchSlotGrant_.resize(scratchDemand_.size());
     maxMinFill(scratchDemand_, bpc, scratchSlotGrant_, scratchFill_);
 
     std::vector<double> &demands = scratchUnitDemand_;
     std::vector<double> &grants = scratchUnitGrant_;
-    for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-        const auto &mine = scratchSlotUnits_[s];
+    for (size_t k = 0; k < scratchActiveSlots_.size(); ++k) {
+        const auto &mine = scratchSlotUnits_[scratchActiveSlots_[k]];
         demands.clear();
-        for (UnitRun *u : mine)
-            demands.push_back(base_rate(u) *
+        for (const UnitRun *u : mine)
+            demands.push_back(u->baseRate *
                               static_cast<double>(u->bytes));
         grants.resize(mine.size());
-        maxMinFill(demands, scratchSlotGrant_[s], grants, scratchFill_);
+        maxMinFill(demands, scratchSlotGrant_[k], grants, scratchFill_);
         for (size_t i = 0; i < mine.size(); ++i)
             mine[i]->hbmShare = grants[i];
     }
 
-    // Final per-unit rates.
+    // Final per-unit rates, with the busy sums for updateStats() and
+    // the earliest completion or unstall for scheduleNext() taken on
+    // the way, in running-set order.
+    StepTotals t;
     for (UnitRun *u : running_) {
-        if (u->penalty > 0.0) {
+        const bool stalled = u->penalty > 0.0;
+        if (stalled) {
             u->rate = 0.0;
-            continue;
+        } else {
+            double r = u->baseRate;
+            if (u->bytes > 0)
+                r = std::min(r, u->hbmShare /
+                                    static_cast<double>(u->bytes));
+            u->rate = r;
         }
-        double r = base_rate(u);
-        if (u->bytes > 0)
-            r = std::min(r, u->hbmShare / static_cast<double>(u->bytes));
-        u->rate = r;
+
+        if (u->kind == UTopKind::Me) {
+            t.held += u->gang;
+            if (!stalled && u->meTime > 0.0) {
+                t.useful += u->gang * u->meEff *
+                            std::min(1.0, u->rate * u->meTime);
+            }
+        }
+        t.ve += stalled ? 0.0 : u->rate * u->veTime;
+
+        if (stalled) {
+            t.next = std::min(t.next, now + u->penalty);
+        } else if (u->rate > 0.0) {
+            t.next = std::min(t.next, now + (1.0 - u->x) / u->rate);
+        }
+        // rate == 0 without penalty is a legal transient stall (e.g. a
+        // VE operator starved while a gang operator consumes the VE
+        // pool); some other unit's completion must eventually unstall
+        // it, which scheduleNext's deadlock check enforces.
     }
+    return t;
 }
 
 void
-NpuCoreSim::updateStats(Cycles now)
+NpuCoreSim::updateStats(Cycles now, const StepTotals &totals)
 {
-    double useful = 0.0, held = 0.0, ve = 0.0;
-    scratchOccupancy_.assign(slots_.size(), 0.0);
-    scratchUseful_.assign(slots_.size(), 0.0);
-    std::vector<double> &slot_mes = scratchOccupancy_;
-    std::vector<double> &slot_ves = scratchUseful_;
-
-    for (const UnitRun *u : running_) {
-        if (u->kind == UTopKind::Me) {
-            held += u->gang;
-            slot_mes[u->slot] += u->gang;
-            if (u->penalty <= 0.0 && u->meTime > 0.0) {
-                useful += u->gang * u->meEff *
-                          std::min(1.0, u->rate * u->meTime);
-            }
-        }
-        const double ve_rate =
-            u->penalty > 0.0 ? 0.0 : u->rate * u->veTime;
-        ve += ve_rate;
-        slot_ves[u->slot] += ve_rate;
-    }
-    meUseful_.setBusy(now, useful);
-    meHeld_.setBusy(now, held);
-    veBusy_.setBusy(now, ve);
+    meUseful_.setBusy(now, totals.useful);
+    meHeld_.setBusy(now, totals.held);
+    veBusy_.setBusy(now, totals.ve);
 
     if (captureAssignment_) {
+        scratchOccupancy_.assign(slots_.size(), 0.0);
+        scratchUseful_.assign(slots_.size(), 0.0);
+        std::vector<double> &slot_mes = scratchOccupancy_;
+        std::vector<double> &slot_ves = scratchUseful_;
+        for (const UnitRun *u : running_) {
+            if (u->kind == UTopKind::Me)
+                slot_mes[u->slot] += u->gang;
+            slot_ves[u->slot] +=
+                u->penalty > 0.0 ? 0.0 : u->rate * u->veTime;
+        }
         for (std::uint32_t s = 0; s < slots_.size(); ++s) {
             slots_[s].assignedMes.record(now, slot_mes[s]);
             slots_[s].assignedVes.record(now, slot_ves[s]);
@@ -462,12 +480,12 @@ NpuCoreSim::completeUnit(UnitRun *u, Cycles now)
         budgetUsed_[u->budgetSlot] -= u->gang;
         u->budgetSlot = kNoSlot;
     }
+    if (u->kind == UTopKind::Ve)
+        --runningVe_;
     u->running = false;
     u->rate = 0.0;
 
-    auto it = requests_.find(u->request);
-    NEU10_ASSERT(it != requests_.end(), "completion for dead request");
-    RequestExec &req = *it->second;
+    RequestExec &req = *u->request;
 
     NEU10_ASSERT(req.unitsLeft[u->opIdx] > 0, "unit count underflow");
     if (--req.unitsLeft[u->opIdx] == 0) {
@@ -523,72 +541,67 @@ NpuCoreSim::onEvent(Cycles now)
 
     advanceTo(now);
 
-    // Drain completions (completions may cascade: an op's last unit
-    // enqueues the next group; a request callback may submit more).
-    bool progressed = true;
-    while (progressed) {
-        progressed = false;
-        for (size_t i = 0; i < running_.size();) {
-            UnitRun *u = running_[i];
-            if (u->penalty <= 0.0 && u->x >= 1.0 - kDoneEps) {
-                running_.erase(running_.begin() +
-                               static_cast<long>(i));
-                completeUnit(u, now);
-                progressed = true;
-            } else {
-                ++i;
-            }
-        }
+    // Drain completions: one order-preserving pass takes the done
+    // units out of the running set, then they complete in running
+    // order. Completions cascade only into the ready queues (an op's
+    // last unit enqueues the next group; a request callback may submit
+    // more), never into the running set, so one pass finds them all.
+    scratchDone_.clear();
+    size_t kept = 0;
+    for (size_t i = 0; i < running_.size(); ++i) {
+        UnitRun *u = running_[i];
+        if (u->penalty <= 0.0 && u->x >= 1.0 - kDoneEps)
+            scratchDone_.push_back(u);
+        else
+            running_[kept++] = u;
     }
+    running_.resize(kept);
+    for (UnitRun *u : scratchDone_)
+        completeUnit(u, now);
 
     policy_->scheduleMes(*this, now);
     policy_->scheduleVes(*this, now);
-    computeShares();
-    updateStats(now);
+    const StepTotals totals = computeShares(now);
+    updateStats(now, totals);
 
     inEvent_ = false;
-    scheduleNext();
+    scheduleNext(totals.next);
 }
 
 void
-NpuCoreSim::scheduleNext()
+NpuCoreSim::scheduleNext(Cycles next)
 {
-    Cycles next = kCyclesInf;
-    for (const UnitRun *u : running_) {
-        if (u->penalty > 0.0) {
-            next = std::min(next, queue_.now() + u->penalty);
-        } else if (u->rate > 0.0) {
-            next = std::min(next,
-                            queue_.now() + (1.0 - u->x) / u->rate);
-        }
-        // rate == 0 without penalty is a legal transient stall (e.g. a
-        // VE operator starved while a gang operator consumes the VE
-        // pool); some other unit's completion must eventually unstall
-        // it, which the deadlock check below enforces.
-    }
-    next = std::min(next, policy_->nextWakeup(*this, queue_.now()));
+    const Cycles now = queue_.now();
+    next = std::min(next, policy_->nextWakeup(*this, now));
 
-    bool backlog = !running_.empty();
-    for (const auto &s : slots_)
-        if (!s.readyMe.empty() || !s.readyVe.empty())
-            backlog = true;
-    if (backlog && next >= kCyclesInf)
-        panic("scheduler deadlock: work exists but no event pending");
-
-    if (next < kCyclesInf) {
-        // Clamp to strictly-future: a wakeup computed a rounding-error
-        // past `now` must not re-fire at the same instant forever.
-        next = std::max(next, queue_.now() + 1e-6);
-        pendingEvent_ = queue_.schedule(
-            next, [this](Cycles t) { onEvent(t); },
-            EventPriority::Schedule);
+    if (next >= kCyclesInf) {
+        // Going idle is legal only when no work is left anywhere.
+        bool backlog = !running_.empty();
+        for (const auto &s : slots_)
+            if (!s.readyMe.empty() || !s.readyVe.empty())
+                backlog = true;
+        if (backlog)
+            panic("scheduler deadlock: work exists but no event pending");
+        return;
     }
+
+    // Clamp to strictly-future: a wakeup computed a rounding-error past
+    // `now` must not re-fire at the same instant forever. Past ~1.7e10
+    // cycles now + 1e-6 rounds back to now; the next representable
+    // time is the floor there.
+    Cycles earliest = now + 1e-6;
+    if (!(earliest > now))
+        earliest = std::nextafter(now, kCyclesInf);
+    next = std::max(next, earliest);
+    pendingEvent_ = queue_.schedule(
+        next, [this](Cycles t) { onEvent(t); }, EventPriority::Schedule);
 }
 
 void
 NpuCoreSim::drainSlot(std::uint32_t slot)
 {
     NEU10_ASSERT(slot < slots_.size(), "bad slot");
+    NEU10_ASSERT(!inEvent_, "drainSlot from inside a core event");
     for (auto it = requests_.begin(); it != requests_.end();) {
         if (it->second->slot != slot) {
             ++it;
@@ -605,6 +618,8 @@ NpuCoreSim::drainSlot(std::uint32_t slot)
                                  "drain");
                     budgetUsed_[u.budgetSlot] -= u.gang;
                 }
+                if (u.kind == UTopKind::Ve)
+                    --runningVe_;
                 running_.erase(
                     std::find(running_.begin(), running_.end(), &u));
             }

@@ -83,6 +83,9 @@ struct RequestResult
 
 using RequestCallback = std::function<void(const RequestResult &)>;
 
+/** Execution state of one in-flight request (core_sim.cc). */
+struct RequestExec;
+
 /** One schedulable work unit in flight (a uTOp / VLIW operator). */
 struct UnitRun
 {
@@ -101,12 +104,19 @@ struct UnitRun
     Cycles penalty = 0.0;             ///< context-switch cycles left
     double veShare = 0.0;             ///< VE-cycles/cycle granted
     double hbmShare = 0.0;            ///< bytes/cycle granted
+    double baseRate = 0.0;            ///< rate before the HBM cap
     double rate = 0.0;                ///< progress per cycle
     Cycles readyAt = 0.0;             ///< for FIFO ordering
     unsigned preemptions = 0;
 
-    // Identity for op/request bookkeeping.
-    std::uint64_t request = 0;
+    // Constants cached at enqueue, so the per-event passes divide by
+    // nothing that cannot change.
+    double meRate = 1e18;             ///< min(1e18, 1 / meTime); 1e18: none
+    double veDemand = 0.0;            ///< veDemandRate()
+
+    // Identity for op/request bookkeeping. The unit lives inside its
+    // request's storage, so the pointer is valid while the unit is.
+    RequestExec *request = nullptr;
     std::uint32_t opIdx = 0;
 
     /** True when this unit still needs ME binding to progress. */
@@ -268,21 +278,28 @@ class NpuCoreSim
     UnitRun *lastHarvesterOn(std::uint32_t slot);
 
     /** Number of running VE units (capped at ny queues). */
-    unsigned runningVeUnits() const;
+    unsigned runningVeUnits() const { return runningVe_; }
 
   private:
-    struct RequestExec;
+    /** What the share pass sums on its way over the running set. */
+    struct StepTotals
+    {
+        double useful = 0.0;       ///< useful ME busy (meUseful_)
+        double held = 0.0;         ///< ME engines held (meHeld_)
+        double ve = 0.0;           ///< VE busy (veBusy_)
+        Cycles next = kCyclesInf;  ///< earliest unit state change
+    };
 
     void onEvent(Cycles now);
     void advanceTo(Cycles now);
     void stepCycles(Cycles from, Cycles to);
-    void computeShares();
-    void scheduleNext();
+    StepTotals computeShares(Cycles now);
+    void scheduleNext(Cycles next);
     void completeUnit(UnitRun *u, Cycles now);
     void opFinished(RequestExec &req, std::uint32_t op_idx, Cycles now);
     void enqueueReadyUnits(RequestExec &req, std::uint32_t op_idx,
                            Cycles now);
-    void updateStats(Cycles now);
+    void updateStats(Cycles now, const StepTotals &totals);
     void removeFromReady(UnitRun *u);
 
     EventQueue &queue_;
@@ -304,6 +321,9 @@ class NpuCoreSim
     // a scan over the running set (a hot path: Neu10's fill/reclaim
     // loops probe once per candidate binding).
     std::vector<unsigned> budgetUsed_;
+    /** Running VE units, maintained like budgetUsed_: every policy
+     * probes runningVeUnits() inside its VE start loop. */
+    unsigned runningVe_ = 0;
 
     double hbmBytes_ = 0.0;
     Cycles lastAdvance_ = 0.0;
@@ -318,6 +338,8 @@ class NpuCoreSim
     std::vector<double> scratchUnitGrant_;
     std::vector<MaxMinKey> scratchFill_;
     std::vector<std::vector<UnitRun *>> scratchSlotUnits_;
+    std::vector<std::uint32_t> scratchActiveSlots_;
+    std::vector<UnitRun *> scratchDone_;
 
     TraceBuffer *trace_ = nullptr;
     bool traceEngineEvents_ = false;

@@ -41,11 +41,13 @@ void
 Neu10Policy::budgets(const NpuCoreSim &core)
 {
     const auto &slots = core.slots();
-    budget_.assign(slots.size(), 0);
+    budget_.resize(slots.size());
 
     unsigned total_alloc = 0;
-    for (const auto &s : slots)
-        total_alloc += s.nMes;
+    if (temporal_) {
+        for (const auto &s : slots)
+            total_alloc += s.nMes;
+    }
 
     if (!temporal_ || total_alloc <= core.config().numMes) {
         for (size_t i = 0; i < slots.size(); ++i)
@@ -177,7 +179,15 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
     }
 
     // Per-slot VE share assignment: ME-uTOp demand first (frees the
-    // occupied MEs soonest), then VE uTOps; surplus harvested.
+    // occupied MEs soonest), then VE uTOps; surplus harvested. One
+    // pass buckets the units by (slot, kind) in running order; the
+    // running-order ME and VE lists feed the cross-slot harvest.
+    const double ve_cap = core.config().numVes;
+    const bool harvest = harvest_ && harvestVes_;
+    if (slotUnits_.size() != 2 * slots.size())
+        slotUnits_.resize(2 * slots.size());
+    for (auto &bucket : slotUnits_)
+        bucket.clear();
     meUnits_.clear();
     veUnits_.clear();
     for (UnitRun *u : core.running()) {
@@ -185,37 +195,37 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
             u->veShare = 0.0;
             continue;
         }
-        (u->kind == UTopKind::Me ? meUnits_ : veUnits_).push_back(u);
+        const bool me = u->kind == UTopKind::Me;
+        slotUnits_[2 * u->slot + (me ? 0 : 1)].push_back(u);
+        if (harvest)
+            (me ? meUnits_ : veUnits_).push_back(u);
     }
 
-    slotLeft_.resize(slots.size());
-    for (size_t s = 0; s < slots.size(); ++s)
-        slotLeft_[s] = slots[s].nVes;
-
-    auto allocate_within = [&](const std::vector<UnitRun *> &units) {
-        for (std::uint32_t s = 0; s < slots.size(); ++s) {
-            mine_.clear();
-            demands_.clear();
-            for (UnitRun *u : units) {
-                if (u->slot != s)
-                    continue;
-                mine_.push_back(u);
-                demands_.push_back(std::min<double>(
-                    u->veDemandRate(), core.config().numVes));
-            }
-            grants_.resize(mine_.size());
-            maxMinFill(demands_, slotLeft_[s], grants_, fill_);
-            for (size_t i = 0; i < mine_.size(); ++i) {
-                mine_[i]->veShare = grants_[i];
-                slotLeft_[s] =
-                    std::max(0.0, slotLeft_[s] - grants_[i]);
-            }
+    // Each slot fills its ME bucket, then its VE bucket, from its own
+    // nVes. Slots draw on nothing but their own slotLeft_, so the
+    // result is the same as filling every slot's ME units first.
+    auto allocate_within = [&](const std::vector<UnitRun *> &mine,
+                               double &left) {
+        if (mine.empty())
+            return;
+        demands_.clear();
+        for (UnitRun *u : mine)
+            demands_.push_back(std::min(u->veDemand, ve_cap));
+        grants_.resize(mine.size());
+        maxMinFill(demands_, left, grants_, fill_);
+        for (size_t i = 0; i < mine.size(); ++i) {
+            mine[i]->veShare = grants_[i];
+            left = std::max(0.0, left - grants_[i]);
         }
     };
-    allocate_within(meUnits_);
-    allocate_within(veUnits_);
+    slotLeft_.resize(slots.size());
+    for (std::uint32_t s = 0; s < slots.size(); ++s) {
+        slotLeft_[s] = slots[s].nVes;
+        allocate_within(slotUnits_[2 * s], slotLeft_[s]);
+        allocate_within(slotUnits_[2 * s + 1], slotLeft_[s]);
+    }
 
-    if (!harvest_ || !harvestVes_)
+    if (!harvest)
         return;
 
     // Harvest surplus VE capacity: unmet ME-uTOp demand first, then
@@ -229,12 +239,17 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
     auto top_up = [&](const std::vector<UnitRun *> &units) {
         if (surplus <= 1e-12)
             return;
+        // Units whose demand is already met add exact zeros: with no
+        // unmet demand the fill would grant nothing.
+        bool unmet = false;
         demands_.clear();
         for (UnitRun *u : units) {
-            const double want = std::min<double>(
-                u->veDemandRate(), core.config().numVes);
+            const double want = std::min(u->veDemand, ve_cap);
             demands_.push_back(std::max(0.0, want - u->veShare));
+            unmet = unmet || demands_.back() > 0.0;
         }
+        if (!unmet)
+            return;
         grants_.resize(units.size());
         maxMinFill(demands_, surplus, grants_, fill_);
         for (size_t i = 0; i < units.size(); ++i) {

@@ -68,9 +68,11 @@ class Neu10Policy : public SchedulerPolicy
     // allocates nothing in steady state.
     std::vector<unsigned> budget_;
     std::vector<size_t> order_;
+    /** Running units with VE work, by (slot, kind): ME units at
+     * 2 * slot, VE units at 2 * slot + 1, each in running order. */
+    std::vector<std::vector<UnitRun *>> slotUnits_;
     std::vector<UnitRun *> meUnits_;
     std::vector<UnitRun *> veUnits_;
-    std::vector<UnitRun *> mine_;
     std::vector<double> slotLeft_;
     std::vector<double> demands_;
     std::vector<double> grants_;

@@ -138,7 +138,7 @@ PmtPolicy::scheduleVes(NpuCoreSim &core, Cycles now)
             continue;
         }
         if (u->kind == UTopKind::Me) {
-            u->veShare = std::min(u->veDemandRate(), left);
+            u->veShare = std::min(u->veDemand, left);
             left = std::max(0.0, left - u->veShare);
         } else {
             units_.push_back(u);

@@ -80,12 +80,9 @@ EventQueue::empty() const
 }
 
 Cycles
-EventQueue::nextEventTime() const
+EventQueue::nextEventTime()
 {
-    // const_cast-free scan: copy-pop is too costly, so peek through the
-    // heap top after discarding stale entries via a mutable helper.
-    auto *self = const_cast<EventQueue *>(this);
-    self->popCancelled();
+    popCancelled();
     return heap_.empty() ? kCyclesInf : heap_.top().when;
 }
 

@@ -77,8 +77,9 @@ class EventQueue
     /** Current simulated time in cycles. */
     Cycles now() const { return now_; }
 
-    /** Time of the earliest pending event, or kCyclesInf. */
-    Cycles nextEventTime() const;
+    /** Time of the earliest pending event, or kCyclesInf. Discards
+     * cancelled records at the head of the queue on the way. */
+    Cycles nextEventTime();
 
     /**
      * Run events until the queue is empty or @p limit is reached.

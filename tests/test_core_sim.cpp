@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -16,6 +17,7 @@
 #include "common/random.hh"
 #include "npu/bandwidth.hh"
 #include "npu/core_sim.hh"
+#include "sched/neu10_policy.hh"
 #include "sched/policy.hh"
 #include "sim/event_queue.hh"
 
@@ -534,6 +536,232 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults)
         return latencies;
     };
     EXPECT_EQ(run(), run());
+}
+
+// ------------------------------------------------- seeded corpus
+
+/** FNV-1a over the bit patterns of everything a run produces. */
+struct Digest
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+/** A random model: 1-4 ops with random earlier deps, each 1-3 groups
+ * of 1-5 units mixing NeuISA ME uTOps, gang operators and VE units,
+ * with zero veTime and zero bytes drawn often. */
+CompiledModel
+randomModel(Rng &rng, unsigned num_mes)
+{
+    CompiledModel m;
+    m.model = "corpus";
+    m.batch = 1;
+    m.nx = num_mes;
+    m.ny = 4;
+    const auto nops = static_cast<std::uint32_t>(1 + rng.below(4));
+    for (std::uint32_t i = 0; i < nops; ++i) {
+        CompiledOp op;
+        op.name = "op";
+        for (std::uint32_t j = 0; j < i; ++j)
+            if (rng.below(2) == 0)
+                op.deps.push_back(j);
+        const auto ngroups = 1 + rng.below(3);
+        for (std::uint64_t g = 0; g < ngroups; ++g) {
+            WorkGroup grp;
+            const auto nunits = 1 + rng.below(5);
+            for (std::uint64_t k = 0; k < nunits; ++k) {
+                WorkUnit u;
+                switch (rng.below(4)) {
+                  case 0:
+                    u.kind = UTopKind::Ve;
+                    u.gang = 0;
+                    break;
+                  case 1:
+                    u.gang = static_cast<unsigned>(
+                        2 + rng.below(std::max(1u, num_mes - 1)));
+                    u.meTime = rng.uniform(50.0, 5000.0);
+                    u.meEff = rng.uniform(0.3, 1.0);
+                    break;
+                  default:
+                    u.meTime = rng.uniform(50.0, 5000.0);
+                    break;
+                }
+                u.veTime = rng.below(3) == 0 ? 0.0
+                                             : rng.uniform(10.0, 4000.0);
+                u.bytes = rng.below(3) == 0 ? 0 : rng.below(400000);
+                grp.units.push_back(u);
+            }
+            op.groups.push_back(grp);
+        }
+        m.ops.push_back(op);
+    }
+    return m;
+}
+
+std::unique_ptr<SchedulerPolicy>
+corpusPolicy(unsigned which)
+{
+    switch (which) {
+      case 0: return makePolicy(PolicyKind::Neu10);
+      case 1: return makePolicy(PolicyKind::Neu10NH);
+      case 2: return std::make_unique<Neu10Policy>(true, true);
+      case 3: return makePolicy(PolicyKind::V10);
+      default: return makePolicy(PolicyKind::Pmt);
+    }
+}
+
+/** Run one seeded single-core scenario, folding every result into
+ * @p digest; returns the number of events run. */
+std::uint64_t
+runCorpusCase(unsigned run, Digest &digest)
+{
+    Rng rng(0x636f727075730000ull + run);
+    const unsigned policy = run % 5;
+    const bool temporal = policy == 2;
+    const auto nslots = static_cast<unsigned>(1 + rng.below(6));
+
+    NpuCoreConfig cfg;
+    std::vector<VnpuSlot> slots(nslots);
+    unsigned mes = 0, ves = 0;
+    for (VnpuSlot &s : slots) {
+        s.nMes = static_cast<unsigned>(1 + rng.below(3));
+        s.nVes = static_cast<unsigned>(1 + rng.below(3));
+        s.priority = 0.5 + static_cast<double>(rng.below(4)) * 0.5;
+        mes += s.nMes;
+        ves += s.nVes;
+    }
+    // Spatial partitions fit the core; temporal mode oversubscribes
+    // the default 4 MEs / 4 VEs.
+    if (!temporal) {
+        cfg.numMes = std::max(4u, mes);
+        cfg.numVes = std::max(4u, ves);
+    }
+
+    EventQueue queue;
+    NpuCoreSim core(queue, cfg, corpusPolicy(policy), slots);
+    core.setCaptureAssignment(run % 3 == 0);
+
+    std::vector<CompiledModel> models;
+    for (int i = 0; i < 3; ++i)
+        models.push_back(randomModel(rng, cfg.numMes));
+
+    std::vector<RequestResult> results;
+    const auto nreq = 2 + rng.below(10);
+    for (std::uint64_t i = 0; i < nreq; ++i) {
+        const auto slot = static_cast<std::uint32_t>(rng.below(nslots));
+        const CompiledModel *m = &models[rng.below(models.size())];
+        queue.schedule(
+            rng.uniform(0.0, 20000.0),
+            [&core, &results, slot, m](Cycles) {
+                core.submit(slot, m, [&results](const RequestResult &r) {
+                    results.push_back(r);
+                });
+            },
+            EventPriority::Arrival);
+    }
+    if (run % 4 == 1) {
+        const auto slot = static_cast<std::uint32_t>(rng.below(nslots));
+        queue.schedule(rng.uniform(0.0, 30000.0),
+                       [&core, slot](Cycles) { core.drainSlot(slot); },
+                       EventPriority::Arrival);
+    }
+
+    std::uint64_t events = 0;
+    while (queue.step()) {
+        ++events;
+        const auto ve = static_cast<unsigned>(std::count_if(
+            core.running().begin(), core.running().end(),
+            [](const UnitRun *u) { return u->kind == UTopKind::Ve; }));
+        EXPECT_EQ(core.runningVeUnits(), ve) << "run " << run;
+        if (events > 2000000) {
+            ADD_FAILURE() << "run " << run << " did not terminate";
+            break;
+        }
+    }
+
+    const Cycles end = queue.now();
+    digest.add(static_cast<std::uint64_t>(results.size()));
+    for (const RequestResult &r : results) {
+        digest.add(r.id);
+        digest.add(static_cast<std::uint64_t>(r.slot));
+        digest.add(r.submitTime);
+        digest.add(r.finishTime);
+    }
+    for (const VnpuSlot &s : core.slots()) {
+        digest.add(s.meServiceCycles);
+        digest.add(s.meUsefulCycles);
+        digest.add(s.blockedByHarvest);
+        digest.add(static_cast<std::uint64_t>(s.reclaimPreemptions));
+        digest.add(s.requestsCompleted);
+        for (const TimeSeries *ts : {&s.assignedMes, &s.assignedVes}) {
+            digest.add(static_cast<std::uint64_t>(ts->size()));
+            for (const TimePoint &p : ts->points()) {
+                digest.add(p.time);
+                digest.add(p.value);
+            }
+        }
+    }
+    digest.add(end);
+    digest.add(core.meUseful().busyIntegral(end));
+    digest.add(core.meHeld().busyIntegral(end));
+    digest.add(core.veBusy().busyIntegral(end));
+    digest.add(core.hbmBytesTransferred());
+    return events;
+}
+
+TEST(CoreSim, SeededCorpusMatchesPinnedDigest)
+{
+    // Several hundred seeded single-core runs over every policy, 1-6
+    // slots, mixed unit kinds and mid-run drains. The pinned digest
+    // comes from a straightforward per-event step (one pass per
+    // quantity, no cached constants), so it holds the lean step to
+    // the same bits: any change to a finish time, per-slot stat or
+    // utilization integral moves it.
+    Digest digest;
+    std::uint64_t events = 0;
+    for (unsigned run = 0; run < 400; ++run)
+        events += runCorpusCase(run, digest);
+    EXPECT_GT(events, 10000u);
+    EXPECT_EQ(digest.h, 0x58784c68f1b68be9ull) << std::hex << digest.h;
+}
+
+TEST(CoreSim, LongHorizonCompletionMakesProgress)
+{
+    // Past ~1.7e10 cycles ulp(now) exceeds 2e-6, so a strictly-future
+    // clamp of now + 1e-6 rounds back to now. A completion less than
+    // half an ulp away must still move the clock forward.
+    CompiledModel m = meModel(1, 0.37, 0.0, 0, 1000);
+    VnpuSlot slot;
+    slot.nMes = 4;
+    slot.nVes = 4;
+    for (SimEngine engine : {SimEngine::EventDriven, SimEngine::PerCycle}) {
+        for (Cycles start : {0.0, 1e10, 1e13}) {
+            EventQueue queue;
+            queue.schedule(start, [](Cycles) {});
+            queue.runUntil();
+            NpuCoreSim core(queue, NpuCoreConfig{},
+                            makePolicy(PolicyKind::Neu10),
+                            {slot});
+            core.setEngine(engine);
+            bool done = false;
+            core.submit(0, &m, [&](const RequestResult &) { done = true; });
+            std::uint64_t events = 0;
+            while (!done && events < 100000 && queue.step())
+                ++events;
+            EXPECT_TRUE(done) << "start " << start;
+            EXPECT_LT(events, 5000u) << "start " << start;
+        }
+    }
 }
 
 TEST(Bandwidth, MaxMinBasics)
