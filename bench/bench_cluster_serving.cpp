@@ -139,13 +139,7 @@ main(int argc, char **argv)
                     base.traceOut.empty()
                         ? "bench_cluster_serving.trace.json"
                         : base.traceOut;
-                r.trace.writeChromeJson(path);
-                r.metrics.writeJson(path + ".metrics.json",
-                                    base.board.core.freqHz);
-                std::printf("[trace: %llu events -> %s]\n",
-                            static_cast<unsigned long long>(
-                                r.trace.totalEvents()),
-                            path.c_str());
+                bench::exportTrace(r, path, base.board.core.freqHz);
             }
             printFleetRow(trafficShapeName(shape).c_str(), r);
             if (shape == TrafficShape::Poisson)

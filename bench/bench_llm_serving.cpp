@@ -151,57 +151,48 @@ printRow(const LlmSummary &s)
 }
 
 void
-writeJson(const char *path, const std::vector<LlmSummary> &rows,
+writeJson(const std::string &path, const std::vector<LlmSummary> &rows,
           double tokens_speedup, double ttft_ratio,
           double min_speedup, std::uint64_t seed, bool smoke)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n", path);
-        std::exit(2);
-    }
     bool identical = true;
     for (const LlmSummary &s : rows)
         identical = identical && s.bitIdentical;
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"bench_llm_serving\",\n");
-    std::fprintf(f, "  \"schema_version\": 1,\n");
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed));
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"min_tokens_speedup_required\": %.2f,\n",
-                 min_speedup);
-    std::fprintf(f, "  \"tokens_speedup\": %.3f,\n", tokens_speedup);
-    std::fprintf(f, "  \"ttft_p99_ratio\": %.3f,\n", ttft_ratio);
-    std::fprintf(f, "  \"bit_identical_engines\": %s,\n",
-                 identical ? "true" : "false");
-    std::fprintf(f, "  \"scenarios\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const LlmSummary &s = rows[i];
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"scheduler\": \"%s\", "
-            "\"tokens\": %llu, \"tokens_per_sec\": %.3f, "
-            "\"ttft_p50_ms\": %.3f, \"ttft_p99_ms\": %.3f, "
-            "\"prefills\": %llu, \"decode_iterations\": %llu, "
-            "\"preemptions\": %llu, \"completed\": %llu, "
-            "\"kv_pages\": %u, \"kv_page_high_water\": %u, "
-            "\"makespan_ms\": %.3f, \"wall_seconds\": %.6f, "
-            "\"bit_identical\": %s}%s\n",
-            s.name.c_str(), s.scheduler.c_str(),
-            static_cast<unsigned long long>(s.tokens),
-            s.tokensPerSec, bench::toMs(s.ttftP50),
-            bench::toMs(s.ttftP99),
-            static_cast<unsigned long long>(s.prefills),
-            static_cast<unsigned long long>(s.decodeIterations),
-            static_cast<unsigned long long>(s.preemptions),
-            static_cast<unsigned long long>(s.completed),
-            s.kvPages, s.kvHighWater, bench::toMs(s.makespan),
-            s.wallSeconds, s.bitIdentical ? "true" : "false",
-            i + 1 < rows.size() ? "," : "");
+    std::string out;
+    json::Writer j(out);
+    j.open();
+    j.str("bench", "bench_llm_serving");
+    j.num("schema_version", 1);
+    j.num("seed", seed);
+    j.boolean("smoke", smoke);
+    j.fixed("min_tokens_speedup_required", min_speedup, 2);
+    j.fixed("tokens_speedup", tokens_speedup, 3);
+    j.fixed("ttft_p99_ratio", ttft_ratio, 3);
+    j.boolean("bit_identical_engines", identical);
+    j.openList("scenarios");
+    for (const LlmSummary &s : rows) {
+        j.open();
+        j.str("name", s.name);
+        j.str("scheduler", s.scheduler);
+        j.num("tokens", s.tokens);
+        j.fixed("tokens_per_sec", s.tokensPerSec, 3);
+        j.fixed("ttft_p50_ms", bench::toMs(s.ttftP50), 3);
+        j.fixed("ttft_p99_ms", bench::toMs(s.ttftP99), 3);
+        j.num("prefills", s.prefills);
+        j.num("decode_iterations", s.decodeIterations);
+        j.num("preemptions", s.preemptions);
+        j.num("completed", s.completed);
+        j.num("kv_pages", s.kvPages);
+        j.num("kv_page_high_water", s.kvHighWater);
+        j.fixed("makespan_ms", bench::toMs(s.makespan), 3);
+        j.fixed("wall_seconds", s.wallSeconds, 6);
+        j.boolean("bit_identical", s.bitIdentical);
+        j.close();
     }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    j.closeList();
+    j.close();
+    out += '\n';
+    bench::writeOrExit(path, out);
 }
 
 } // anonymous namespace
@@ -269,7 +260,7 @@ main(int argc, char **argv)
                     : "DIVERGED");
 
     if (!json_path.empty()) {
-        writeJson(json_path.c_str(), rows, tokens_speedup,
+        writeJson(json_path, rows, tokens_speedup,
                   ttft_ratio, min_speedup, seed, smoke);
         std::printf("wrote %s\n", json_path.c_str());
     }

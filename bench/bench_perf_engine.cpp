@@ -222,62 +222,51 @@ closedLoopCore(unsigned min_requests)
 }
 
 void
-writeJson(const char *path, const std::vector<ScenarioResult> &rows,
-          std::uint64_t seed, bool smoke, double min_speedup,
-          const TracedAb &traced)
+writeJson(const std::string &path,
+          const std::vector<ScenarioResult> &rows, std::uint64_t seed,
+          bool smoke, double min_speedup, const TracedAb &traced)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n", path);
-        std::exit(2);
+    std::string out;
+    json::Writer j(out);
+    j.open();
+    j.str("bench", "bench_perf_engine");
+    j.num("schema_version", 2);
+    j.str("git_sha", NEU10_GIT_SHA);
+    j.str("compiler", compilerString());
+    j.str("build_type", NEU10_BUILD_TYPE);
+    j.num("seed", seed);
+    j.boolean("smoke", smoke);
+    j.num("host_threads", ThreadPool::defaultThreads());
+    j.fixed("min_speedup_required", min_speedup, 1);
+    j.open("tracing");
+    j.fixed("wall_seconds", traced.wallSeconds, 6);
+    j.num("events", traced.events);
+    j.boolean("same_results", traced.sameResults);
+    j.close();
+    const auto engine = [&](const char *name, const EngineRun &e) {
+        j.open(name);
+        j.fixed("wall_seconds", e.wallSeconds, 6);
+        j.fixed("cycles_simulated", e.cyclesSimulated, 0);
+        j.fixed("cycles_per_second", e.cyclesPerSecond(), 0);
+        j.num("completed", e.completed);
+        j.close();
+    };
+    j.openList("scenarios");
+    for (const ScenarioResult &s : rows) {
+        j.open();
+        j.str("name", s.name);
+        j.open("engines");
+        engine("event_driven", s.fast);
+        engine("per_cycle", s.ref);
+        j.close();
+        j.fixed("speedup", s.speedup(), 3);
+        j.boolean("bit_identical", s.bitIdentical);
+        j.close();
     }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"bench_perf_engine\",\n");
-    std::fprintf(f, "  \"schema_version\": 2,\n");
-    std::fprintf(f, "  \"git_sha\": \"%s\",\n", NEU10_GIT_SHA);
-    std::fprintf(f, "  \"compiler\": \"%s\",\n", compilerString());
-    std::fprintf(f, "  \"build_type\": \"%s\",\n", NEU10_BUILD_TYPE);
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed));
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"host_threads\": %u,\n",
-                 ThreadPool::defaultThreads());
-    std::fprintf(f, "  \"min_speedup_required\": %.1f,\n",
-                 min_speedup);
-    std::fprintf(f,
-                 "  \"tracing\": {\"wall_seconds\": %.6f, "
-                 "\"events\": %llu, \"same_results\": %s},\n",
-                 traced.wallSeconds,
-                 static_cast<unsigned long long>(traced.events),
-                 traced.sameResults ? "true" : "false");
-    std::fprintf(f, "  \"scenarios\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const ScenarioResult &s = rows[i];
-        auto engine = [&](const char *name, const EngineRun &e,
-                          const char *tail) {
-            std::fprintf(
-                f,
-                "      \"%s\": {\"wall_seconds\": %.6f, "
-                "\"cycles_simulated\": %.0f, "
-                "\"cycles_per_second\": %.0f, "
-                "\"completed\": %llu}%s\n",
-                name, e.wallSeconds, e.cyclesSimulated,
-                e.cyclesPerSecond(),
-                static_cast<unsigned long long>(e.completed), tail);
-        };
-        std::fprintf(f, "    {\"name\": \"%s\",\n",
-                     s.name.c_str());
-        std::fprintf(f, "     \"engines\": {\n");
-        engine("event_driven", s.fast, ",");
-        engine("per_cycle", s.ref, "");
-        std::fprintf(f, "     },\n");
-        std::fprintf(f, "     \"speedup\": %.3f,\n", s.speedup());
-        std::fprintf(f, "     \"bit_identical\": %s}%s\n",
-                     s.bitIdentical ? "true" : "false",
-                     i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    j.closeList();
+    j.close();
+    out += '\n';
+    bench::writeOrExit(path, out);
 }
 
 } // anonymous namespace
@@ -388,8 +377,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(traced.events),
                 traced.sameResults ? "unchanged" : "CHANGED");
 
-    writeJson(json_path.c_str(), rows, seed, smoke, min_speedup,
-              traced);
+    writeJson(json_path, rows, seed, smoke, min_speedup, traced);
     std::printf("\nwrote %s\n", json_path.c_str());
 
     const ScenarioResult &canon = rows.front();

@@ -85,13 +85,7 @@ partBoardLoss(const Scenario &scn)
         const std::string path =
             scn.traceOut.empty() ? "bench_resilience.trace.json"
                                  : scn.traceOut;
-        fo.trace.writeChromeJson(path);
-        fo.metrics.writeJson(path + ".metrics.json",
-                             scn.board.core.freqHz);
-        std::printf("[trace: %llu events -> %s]\n",
-                    static_cast<unsigned long long>(
-                        fo.trace.totalEvents()),
-                    path.c_str());
+        bench::exportTrace(fo, path, scn.board.core.freqHz);
     }
 
     std::printf("Part 1: board 1 lost at 30%% of the horizon, never "

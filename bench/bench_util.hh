@@ -17,9 +17,12 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "cluster/fleet.hh"
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "scenario/scenario.hh"
@@ -40,6 +43,30 @@ usageError(const FatalError &err)
     if (logLevel() < LogLevel::Warn)
         std::fprintf(stderr, "error: %s\n", err.what());
     std::exit(2);
+}
+
+/** Write @p body to @p path; exit(2) naming the path when it cannot
+ * be opened, fully written or closed. */
+inline void
+writeOrExit(const std::string &path, std::string_view body)
+{
+    if (json::writeTextFile(path, body))
+        return;
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    std::exit(2);
+}
+
+/** Export a traced fleet run: the Chrome trace to @p path and the
+ * epoch metrics to @p path.metrics.json (docs/OBSERVABILITY.md). */
+inline void
+exportTrace(const FleetResult &r, const std::string &path,
+            double freqHz)
+{
+    writeOrExit(path, r.trace.chromeJson());
+    writeOrExit(path + ".metrics.json", r.metrics.json(freqHz));
+    std::printf("[trace: %llu events -> %s]\n",
+                static_cast<unsigned long long>(r.trace.totalEvents()),
+                path.c_str());
 }
 
 /** Parse positional argument @p text as a count named @p what

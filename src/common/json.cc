@@ -1,0 +1,134 @@
+#include "common/json.hh"
+
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <system_error>
+
+#include "common/logging.hh"
+
+namespace neu10::json
+{
+
+namespace
+{
+
+/** to_chars @p v (with an optional format and precision) onto @p out.
+ * The buffer fits any finite double at %.17f (309 integer digits);
+ * a larger precision trips the overflow check. */
+template <typename T, typename... Format>
+void
+appendChars(std::string &out, T v, Format... format)
+{
+    if constexpr (std::floating_point<T>)
+        NEU10_ASSERT(std::isfinite(v), "non-finite value in JSON output");
+    char buf[336];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), v, format...);
+    NEU10_ASSERT(r.ec == std::errc{}, "JSON number overflows buffer");
+    out.append(buf, r.ptr);
+}
+
+} // anonymous namespace
+
+void appendUint(std::string &out, std::uint64_t v) { appendChars(out, v); }
+void appendInt(std::string &out, std::int64_t v) { appendChars(out, v); }
+void appendShortest(std::string &out, double v) { appendChars(out, v); }
+
+void
+appendFixed(std::string &out, double v, int decimals)
+{
+    appendChars(out, v, std::chars_format::fixed, decimals);
+}
+
+void
+appendGeneral(std::string &out, double v, int digits)
+{
+    appendChars(out, v, std::chars_format::general, digits);
+}
+
+void
+appendString(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    out += '"';
+    size_t clean = 0; // s[clean, i) needs no escaping
+    for (size_t i = 0; i < s.size(); ++i) {
+        const auto b = static_cast<unsigned char>(s[i]);
+        if (b >= 0x20 && b != '"' && b != '\\')
+            continue;
+        out.append(s, clean, i - clean);
+        clean = i + 1;
+        out += '\\';
+        if (b == '"' || b == '\\') {
+            out += static_cast<char>(b);
+        } else if (b >= '\b' && b <= '\r' && b != '\v') {
+            out += "btn?fr"[b - '\b']; // \b \t \n \f \r
+        } else {
+            out += "u00";
+            out += kHex[b >> 4];
+            out += kHex[b & 0xf];
+        }
+    }
+    out.append(s, clean);
+    out += '"';
+}
+
+void
+Writer::pad(const char *key)
+{
+    if (!first_)
+        out_ += pretty_ ? ",\n" : ",";
+    if (pretty_)
+        out_.append(static_cast<size_t>(depth_) * 2, ' ');
+    if (key != nullptr) {
+        appendString(out_, key);
+        out_ += pretty_ ? ": " : ":";
+    }
+    first_ = false;
+}
+
+void
+Writer::begin(const char *key, char bracket)
+{
+    pad(key);
+    out_ += bracket;
+    if (pretty_)
+        out_ += '\n';
+    ++depth_;
+    first_ = true;
+}
+
+void
+Writer::end(char bracket)
+{
+    --depth_;
+    if (pretty_) {
+        out_ += '\n';
+        out_.append(static_cast<size_t>(depth_) * 2, ' ');
+    }
+    out_ += bracket;
+    first_ = false;
+}
+
+void
+Writer::hex(const char *key, std::uint64_t v)
+{
+    pad(key);
+    out_ += "\"0x";
+    appendChars(out_, v, 16);
+    out_ += '"';
+}
+
+bool
+writeTextFile(const std::string &path, std::string_view body)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        return false;
+    const bool wrote =
+        std::fwrite(body.data(), 1, body.size(), f) == body.size();
+    return std::fclose(f) == 0 && wrote;
+}
+
+} // namespace neu10::json

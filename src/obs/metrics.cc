@@ -1,7 +1,7 @@
 #include "obs/metrics.hh"
 
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "common/strings.hh"
 
 namespace neu10
 {
@@ -98,57 +98,40 @@ MetricsRegistry::find(const std::string &name) const
     return nullptr;
 }
 
-namespace
-{
-
-const char *
-kindName(MetricKind kind)
-{
-    switch (kind) {
-      case MetricKind::Counter:
-        return "counter";
-      case MetricKind::Gauge:
-        return "gauge";
-      case MetricKind::Histogram:
-        return "histogram";
-    }
-    return "unknown";
-}
-
-} // anonymous namespace
-
 std::string
 MetricsRegistry::json(double freqHz) const
 {
-    std::string out;
-    out += "{\n";
-    out += "\"schema\": \"neu10-metrics-v1\",\n";
-    out += csprintf("\"freq_hz\": %.0f,\n", freqHz);
-    out += "\"metrics\": [\n";
+    std::string out = "{\n\"schema\": \"neu10-metrics-v1\",\n"
+                      "\"freq_hz\": ";
+    json::appendFixed(out, freqHz, 0);
+    out += ",\n\"metrics\": [\n";
     // Registration order: deterministic (registration happens on the
     // serial fleet path) and meaningful to a reader, unlike any
     // hash order.
     for (size_t i = 0; i < metrics_.size(); ++i) {
         const Metric &m = metrics_[i];
-        out += csprintf("{\"name\":\"%s\",\"kind\":\"%s\"",
-                        m.name.c_str(), kindName(m.kind));
+        json::Writer w(out, json::Layout::Compact);
+        w.open();
+        w.str("name", m.name);
+        static constexpr const char *kKindNames[] = {
+            "counter", "gauge", "histogram"};
+        w.str("kind", kKindNames[static_cast<int>(m.kind)]);
         if (m.kind == MetricKind::Histogram) {
-            out += csprintf(
-                ",\"count\":%zu,\"mean\":%.9g,\"p50\":%.9g,"
-                "\"p95\":%.9g,\"p99\":%.9g",
-                m.dist.count(), m.dist.mean(),
-                m.dist.percentile(0.50), m.dist.percentile(0.95),
-                m.dist.percentile(0.99));
+            w.num("count", m.dist.count());
+            w.general("mean", m.dist.mean(), 9);
+            w.general("p50", m.dist.percentile(0.50), 9);
+            w.general("p95", m.dist.percentile(0.95), 9);
+            w.general("p99", m.dist.percentile(0.99), 9);
         }
-        out += ",\"points\":[";
-        const std::vector<TimePoint> &pts = m.series.points();
-        for (size_t p = 0; p < pts.size(); ++p) {
-            if (p > 0)
-                out += ",";
-            out += csprintf("[%.9g,%.9g]", pts[p].time,
-                            pts[p].value);
+        w.openList("points");
+        for (const TimePoint &p : m.series.points()) {
+            w.openList();
+            w.general(nullptr, p.time, 9);
+            w.general(nullptr, p.value, 9);
+            w.closeList();
         }
-        out += "]}";
+        w.closeList();
+        w.close();
         out += i + 1 < metrics_.size() ? ",\n" : "\n";
     }
     out += "]}\n";
@@ -159,15 +142,7 @@ bool
 MetricsRegistry::writeJson(const std::string &path,
                            double freqHz) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("cannot write metrics to %s", path.c_str());
-        return false;
-    }
-    const std::string body = json(freqHz);
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    return true;
+    return json::writeTextFile(path, json(freqHz));
 }
 
 } // namespace neu10

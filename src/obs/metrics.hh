@@ -19,7 +19,6 @@
 #define NEU10_OBS_METRICS_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -99,7 +98,8 @@ class MetricsRegistry
     /** Render as "neu10-metrics-v1" JSON (deterministic bytes). */
     std::string json(double freqHz) const;
 
-    /** Write json() to @p path. @return false on I/O error. */
+    /** Write json() to @p path. @return false when the file cannot
+     * be opened, fully written or closed. */
     bool writeJson(const std::string &path, double freqHz) const;
 
   private:

@@ -2,146 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
-#include "common/logging.hh"
-#include "common/strings.hh"
+#include "common/json.hh"
 
 namespace neu10
 {
-
-// ------------------------------------------------------ TraceBuffer
-
-TraceEvent *
-TraceBuffer::start(Cycles at, Cycles dur, char phase, const char *cat,
-                   const char *name)
-{
-    events_.emplace_back();
-    TraceEvent &ev = events_.back();
-    ev.at = at;
-    ev.dur = dur;
-    ev.phase = phase;
-    ev.cat = cat;
-    ev.name = name;
-    return &ev;
-}
-
-void
-TraceBuffer::instant(Cycles at, const char *cat, const char *name)
-{
-    if (!enabled_)
-        return;
-    start(at, 0.0, 'i', cat, name);
-}
-
-void
-TraceBuffer::instant(Cycles at, const char *cat, const char *name,
-                     const char *k0, double v0)
-{
-    if (!enabled_)
-        return;
-    TraceEvent *ev = start(at, 0.0, 'i', cat, name);
-    ev->nargs = 1;
-    ev->args[0] = {k0, v0};
-}
-
-void
-TraceBuffer::instant(Cycles at, const char *cat, const char *name,
-                     const char *k0, double v0, const char *k1,
-                     double v1)
-{
-    if (!enabled_)
-        return;
-    TraceEvent *ev = start(at, 0.0, 'i', cat, name);
-    ev->nargs = 2;
-    ev->args[0] = {k0, v0};
-    ev->args[1] = {k1, v1};
-}
-
-void
-TraceBuffer::instant(Cycles at, const char *cat, const char *name,
-                     const char *k0, double v0, const char *k1,
-                     double v1, const char *k2, double v2)
-{
-    if (!enabled_)
-        return;
-    TraceEvent *ev = start(at, 0.0, 'i', cat, name);
-    ev->nargs = 3;
-    ev->args[0] = {k0, v0};
-    ev->args[1] = {k1, v1};
-    ev->args[2] = {k2, v2};
-}
-
-void
-TraceBuffer::span(Cycles from, Cycles to, const char *cat,
-                  const char *name)
-{
-    if (!enabled_)
-        return;
-    start(from, to - from, 'X', cat, name);
-}
-
-void
-TraceBuffer::span(Cycles from, Cycles to, const char *cat,
-                  const char *name, const char *k0, double v0)
-{
-    if (!enabled_)
-        return;
-    TraceEvent *ev = start(from, to - from, 'X', cat, name);
-    ev->nargs = 1;
-    ev->args[0] = {k0, v0};
-}
-
-void
-TraceBuffer::span(Cycles from, Cycles to, const char *cat,
-                  const char *name, const char *k0, double v0,
-                  const char *k1, double v1)
-{
-    if (!enabled_)
-        return;
-    TraceEvent *ev = start(from, to - from, 'X', cat, name);
-    ev->nargs = 2;
-    ev->args[0] = {k0, v0};
-    ev->args[1] = {k1, v1};
-}
-
-void
-TraceBuffer::asyncSpan(std::uint64_t id, Cycles from, Cycles to,
-                       const char *cat, const char *name)
-{
-    if (!enabled_)
-        return;
-    TraceEvent *ev = start(from, to - from, 'b', cat, name);
-    ev->id = id;
-}
-
-void
-TraceBuffer::asyncSpan(std::uint64_t id, Cycles from, Cycles to,
-                       const char *cat, const char *name,
-                       const char *k0, double v0)
-{
-    if (!enabled_)
-        return;
-    TraceEvent *ev = start(from, to - from, 'b', cat, name);
-    ev->id = id;
-    ev->nargs = 1;
-    ev->args[0] = {k0, v0};
-}
-
-void
-TraceBuffer::asyncSpan(std::uint64_t id, Cycles from, Cycles to,
-                       const char *cat, const char *name,
-                       const char *k0, double v0, const char *k1,
-                       double v1)
-{
-    if (!enabled_)
-        return;
-    TraceEvent *ev = start(from, to - from, 'b', cat, name);
-    ev->id = id;
-    ev->nargs = 2;
-    ev->args[0] = {k0, v0};
-    ev->args[1] = {k1, v1};
-}
 
 // ------------------------------------------------------------ Trace
 
@@ -186,34 +51,13 @@ Trace::totalEvents() const
 namespace
 {
 
-/** One export-ready entry: sort key (simulated start time) plus the
- * rendered JSON object. 'b' records expand into a begin and an end
- * entry; stable sort keeps the recording order as the tie-break. */
-struct Emitted
+/** One export row: 'b' records expand into a begin and an end row. */
+struct Row
 {
     Cycles ts = 0.0;
-    std::string line;
+    std::uint32_t ev = 0; ///< index into the track's events
+    bool end = false;     ///< the 'e' half of a 'b' record
 };
-
-std::string
-argsJson(const TraceEvent &ev)
-{
-    if (ev.nargs == 0)
-        return "";
-    std::string s = ",\"args\":{";
-    for (int i = 0; i < ev.nargs; ++i) {
-        if (i > 0)
-            s += ",";
-        // JSON has no infinity/NaN literal; kCyclesInf sentinels
-        // (e.g. a board lost for good) export as -1.
-        const double v = std::isfinite(ev.args[i].value)
-                             ? ev.args[i].value
-                             : -1.0;
-        s += csprintf("\"%s\":%.9g", ev.args[i].key, v);
-    }
-    s += "}";
-    return s;
-}
 
 } // anonymous namespace
 
@@ -239,18 +83,43 @@ Trace::chromeJson() const
         return track < 0 ? 0u : static_cast<unsigned>(track);
     };
 
+    // Reserve well past the longest row (~140 bytes; a 'b' record is
+    // two) so a large trace is written once instead of doubling into
+    // a fresh buffer: reserved pages that are never written are not
+    // resident, while the final doubling copy would briefly hold two
+    // buffers of the trace's size.
     std::string out;
-    out += "{\n";
-    out += "\"displayTimeUnit\": \"ms\",\n";
-    out += csprintf("\"otherData\": {\"clock_hz\": %.0f},\n", freqHz_);
-    out += "\"traceEvents\": [\n";
+    out.reserve(256 * (totalEvents() + 2 * tracks_.size() + 1));
+    out += "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": "
+           "{\"clock_hz\": ";
+    json::appendFixed(out, freqHz_, 0);
+    out += "},\n\"traceEvents\": [\n";
 
+    // One compact object per row, rows separated by ",\n".
     bool first = true;
-    const auto emit = [&](const std::string &line) {
+    const auto row = [&](const char *phase, unsigned pid,
+                         unsigned tid) {
         if (!first)
             out += ",\n";
-        out += line;
         first = false;
+        json::Writer w(out, json::Layout::Compact);
+        w.open();
+        w.str("ph", phase);
+        w.num("pid", pid);
+        w.num("tid", tid);
+        return w;
+    };
+    const auto meta = [&](unsigned pid, unsigned tid, const char *what,
+                          const char *label, int index) {
+        std::string name = label;
+        if (index >= 0)
+            json::appendInt(name, index);
+        json::Writer w = row("M", pid, tid);
+        w.str("name", what);
+        w.open("args");
+        w.str("name", name);
+        w.close();
+        w.close();
     };
 
     // Metadata: name every process (board) once and every thread
@@ -263,103 +132,71 @@ Trace::chromeJson() const
         if (std::find(named_pids.begin(), named_pids.end(), pid) ==
             named_pids.end()) {
             named_pids.push_back(pid);
-            const std::string pname =
-                track < 0 ? std::string("controller")
-                          : csprintf("board %u", pid);
-            emit(csprintf("{\"ph\":\"M\",\"pid\":%u,\"tid\":%u,"
-                          "\"name\":\"process_name\",\"args\":"
-                          "{\"name\":\"%s\"}}",
-                          pid, tid, pname.c_str()));
+            meta(pid, tid, "process_name",
+                 track < 0 ? "controller" : "board ",
+                 track < 0 ? -1 : static_cast<int>(pid));
         }
-        const std::string tname =
-            track < 0 ? std::string("fleet")
-                      : csprintf("core %u", tid);
-        emit(csprintf("{\"ph\":\"M\",\"pid\":%u,\"tid\":%u,"
-                      "\"name\":\"thread_name\",\"args\":"
-                      "{\"name\":\"%s\"}}",
-                      pid, tid, tname.c_str()));
+        meta(pid, tid, "thread_name", track < 0 ? "fleet" : "core ",
+             track < 0 ? -1 : static_cast<int>(tid));
     }
 
+    std::vector<Row> rows;
     for (const auto &[track, evs] : tracks_) {
         const unsigned pid = pid_of(track);
         const unsigned tid = tid_of(track);
-        std::vector<Emitted> rows;
-        rows.reserve(evs.size() * 2);
-        for (const TraceEvent &ev : evs) {
-            const std::string args = argsJson(ev);
-            switch (ev.phase) {
-              case 'X':
-                rows.push_back(
-                    {ev.at,
-                     csprintf("{\"ph\":\"X\",\"pid\":%u,\"tid\":%u,"
-                              "\"ts\":%.6f,\"dur\":%.6f,"
-                              "\"cat\":\"%s\",\"name\":\"%s\"%s}",
-                              pid, tid, us(ev.at),
-                              us(ev.at + ev.dur) - us(ev.at),
-                              ev.cat, ev.name, args.c_str())});
-                break;
-              case 'b':
-                rows.push_back(
-                    {ev.at,
-                     csprintf("{\"ph\":\"b\",\"pid\":%u,\"tid\":%u,"
-                              "\"ts\":%.6f,\"cat\":\"%s\","
-                              "\"name\":\"%s\",\"id\":\"0x%llx\"%s}",
-                              pid, tid, us(ev.at), ev.cat, ev.name,
-                              static_cast<unsigned long long>(ev.id),
-                              args.c_str())});
-                rows.push_back(
-                    {ev.at + ev.dur,
-                     csprintf("{\"ph\":\"e\",\"pid\":%u,\"tid\":%u,"
-                              "\"ts\":%.6f,\"cat\":\"%s\","
-                              "\"name\":\"%s\",\"id\":\"0x%llx\"}",
-                              pid, tid, us(ev.at + ev.dur), ev.cat,
-                              ev.name,
-                              static_cast<unsigned long long>(
-                                  ev.id))});
-                break;
-              default:
-                rows.push_back(
-                    {ev.at,
-                     csprintf("{\"ph\":\"i\",\"pid\":%u,\"tid\":%u,"
-                              "\"ts\":%.6f,\"s\":\"t\","
-                              "\"cat\":\"%s\",\"name\":\"%s\"%s}",
-                              pid, tid, us(ev.at), ev.cat, ev.name,
-                              args.c_str())});
-                break;
-            }
+        rows.clear();
+        for (std::uint32_t i = 0; i < evs.size(); ++i) {
+            rows.push_back({evs[i].at, i, false});
+            if (evs[i].phase == 'b')
+                rows.push_back({evs[i].at + evs[i].dur, i, true});
         }
         // Per-track monotonic timestamps; stable so same-time events
         // keep their deterministic recording order.
         std::stable_sort(rows.begin(), rows.end(),
-                         [](const Emitted &a, const Emitted &b) {
+                         [](const Row &a, const Row &b) {
                              return a.ts < b.ts;
                          });
-        for (const Emitted &row : rows)
-            emit(row.line);
+        for (const Row &r : rows) {
+            const TraceEvent &ev = evs[r.ev];
+            const bool async = ev.phase == 'b';
+            const char *ph = ev.phase == 'X' ? "X"
+                             : !async        ? "i"
+                             : r.end         ? "e"
+                                             : "b";
+            json::Writer w = row(ph, pid, tid);
+            w.fixed("ts", us(r.ts), 6);
+            if (ev.phase == 'X')
+                w.fixed("dur", us(ev.at + ev.dur) - us(ev.at), 6);
+            else if (!async)
+                w.str("s", "t");
+            w.str("cat", ev.cat);
+            w.str("name", ev.name);
+            if (async)
+                w.hex("id", ev.id);
+            if (ev.nargs > 0 && !r.end) {
+                w.open("args");
+                for (int a = 0; a < ev.nargs; ++a) {
+                    // JSON has no infinity/NaN literal; kCyclesInf
+                    // sentinels (e.g. a board lost for good) export
+                    // as -1.
+                    const double v = ev.args[a].value;
+                    w.general(ev.args[a].key,
+                              std::isfinite(v) ? v : -1.0, 9);
+                }
+                w.close();
+            }
+            w.close();
+        }
     }
 
     out += "\n]}\n";
     return out;
 }
 
-void
-Trace::writeChromeJson(std::FILE *f) const
-{
-    const std::string json = chromeJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-}
-
 bool
 Trace::writeChromeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("cannot write trace to %s", path.c_str());
-        return false;
-    }
-    writeChromeJson(f);
-    std::fclose(f);
-    return true;
+    return json::writeTextFile(path, chromeJson());
 }
 
 } // namespace neu10

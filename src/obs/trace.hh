@@ -37,7 +37,6 @@
 #define NEU10_OBS_TRACE_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -107,36 +106,40 @@ class TraceBuffer
     bool enabled() const { return enabled_; }
     void enable(bool on) { enabled_ = on; }
 
+    // Every recorder takes up to kTraceMaxArgs trailing (key, value)
+    // pairs after the name: instant(at, "request", "admit", "tenant",
+    // 3, "depth", 2).
+
     /** Point event at @p at. */
-    void instant(Cycles at, const char *cat, const char *name);
-    void instant(Cycles at, const char *cat, const char *name,
-                 const char *k0, double v0);
-    void instant(Cycles at, const char *cat, const char *name,
-                 const char *k0, double v0, const char *k1, double v1);
-    void instant(Cycles at, const char *cat, const char *name,
-                 const char *k0, double v0, const char *k1, double v1,
-                 const char *k2, double v2);
+    template <typename... KV>
+    void
+    instant(Cycles at, const char *cat, const char *name, KV... kv)
+    {
+        if (enabled_)
+            record(at, 0.0, 'i', 0, cat, name, kv...);
+    }
 
     /** Duration ('X') span [from, to). Spans of one (cat, name) on a
      * track must not partially overlap (Chrome requires nesting). */
-    void span(Cycles from, Cycles to, const char *cat,
-              const char *name);
-    void span(Cycles from, Cycles to, const char *cat,
-              const char *name, const char *k0, double v0);
-    void span(Cycles from, Cycles to, const char *cat,
-              const char *name, const char *k0, double v0,
-              const char *k1, double v1);
+    template <typename... KV>
+    void
+    span(Cycles from, Cycles to, const char *cat, const char *name,
+         KV... kv)
+    {
+        if (enabled_)
+            record(from, to - from, 'X', 0, cat, name, kv...);
+    }
 
     /** Async nestable span [from, to) under @p id — the request-
      * lifecycle shape: spans of distinct ids may overlap freely. */
-    void asyncSpan(std::uint64_t id, Cycles from, Cycles to,
-                   const char *cat, const char *name);
-    void asyncSpan(std::uint64_t id, Cycles from, Cycles to,
-                   const char *cat, const char *name, const char *k0,
-                   double v0);
-    void asyncSpan(std::uint64_t id, Cycles from, Cycles to,
-                   const char *cat, const char *name, const char *k0,
-                   double v0, const char *k1, double v1);
+    template <typename... KV>
+    void
+    asyncSpan(std::uint64_t id, Cycles from, Cycles to, const char *cat,
+              const char *name, KV... kv)
+    {
+        if (enabled_)
+            record(from, to - from, 'b', id, cat, name, kv...);
+    }
 
     const std::vector<TraceEvent> &events() const { return events_; }
     size_t size() const { return events_.size(); }
@@ -144,8 +147,33 @@ class TraceBuffer
     void clear() { events_.clear(); }
 
   private:
-    TraceEvent *start(Cycles at, Cycles dur, char phase,
-                      const char *cat, const char *name);
+    template <typename... KV>
+    void
+    record(Cycles at, Cycles dur, char phase, std::uint64_t id,
+           const char *cat, const char *name, KV... kv)
+    {
+        static_assert(sizeof...(KV) % 2 == 0 &&
+                          sizeof...(KV) / 2 <= kTraceMaxArgs,
+                      "up to kTraceMaxArgs (key, value) pairs");
+        TraceEvent &ev = events_.emplace_back();
+        ev.at = at;
+        ev.dur = dur;
+        ev.id = id;
+        ev.phase = phase;
+        ev.cat = cat;
+        ev.name = name;
+        addArgs(ev, kv...);
+    }
+
+    static void addArgs(TraceEvent &) {}
+
+    template <typename V, typename... KV>
+    static void
+    addArgs(TraceEvent &ev, const char *key, V value, KV... rest)
+    {
+        ev.args[ev.nargs++] = {key, static_cast<double>(value)};
+        addArgs(ev, rest...);
+    }
 
     bool enabled_ = false;
     std::vector<TraceEvent> events_;
@@ -201,10 +229,8 @@ class Trace
      */
     std::string chromeJson() const;
 
-    /** Write chromeJson() to @p f. */
-    void writeChromeJson(std::FILE *f) const;
-
-    /** Write chromeJson() to @p path. @return false on I/O error. */
+    /** Write chromeJson() to @p path. @return false when the file
+     * cannot be opened, fully written or closed. */
     bool writeChromeJson(const std::string &path) const;
 
   private:

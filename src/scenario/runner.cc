@@ -1,12 +1,10 @@
 #include "scenario/runner.hh"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "vnpu/allocator.hh"
 
@@ -166,142 +164,10 @@ runScenario(const Scenario &s)
 namespace
 {
 
-/** Shortest round-trip decimal for a double — identical bytes on
- * every host, unlike printf's locale- and precision-bound %g. */
-std::string
-jsonNumber(double v)
-{
-    // Goldens must never contain non-JSON tokens; the engines only
-    // report finite statistics, so an inf/nan here is a Neu10 bug.
-    NEU10_ASSERT(std::isfinite(v),
-                 "non-finite value in scenario JSON");
-    char buf[32];
-    const std::to_chars_result r =
-        std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, r.ptr);
-}
-
-std::string
-jsonNumber(std::uint64_t v)
-{
-    char buf[24];
-    const std::to_chars_result r =
-        std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, r.ptr);
-}
-
-std::string
-jsonString(const std::string &s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-/** Minimal ordered JSON writer: keys appear exactly as emitted. */
-class Json
-{
-  public:
-    void
-    open(const char *key = nullptr)
-    {
-        pad(key);
-        out_ += "{\n";
-        ++depth_;
-        first_ = true;
-    }
-
-    void
-    close()
-    {
-        --depth_;
-        out_ += '\n';
-        indent();
-        out_ += '}';
-        first_ = false;
-    }
-
-    void
-    openList(const char *key)
-    {
-        pad(key);
-        out_ += "[\n";
-        ++depth_;
-        first_ = true;
-    }
-
-    void
-    closeList()
-    {
-        --depth_;
-        out_ += '\n';
-        indent();
-        out_ += ']';
-        first_ = false;
-    }
-
-    void
-    field(const char *key, const std::string &rendered)
-    {
-        pad(key);
-        out_ += rendered;
-        first_ = false;
-    }
-
-    void str(const char *key, const std::string &v)
-    { field(key, jsonString(v)); }
-
-    void num(const char *key, double v)
-    { field(key, jsonNumber(v)); }
-
-    void num(const char *key, std::uint64_t v)
-    { field(key, jsonNumber(v)); }
-
-    void num(const char *key, unsigned v)
-    { field(key, jsonNumber(static_cast<std::uint64_t>(v))); }
-
-    void boolean(const char *key, bool v)
-    { field(key, v ? "true" : "false"); }
-
-    std::string
-    take()
-    {
-        out_ += '\n';
-        return std::move(out_);
-    }
-
-  private:
-    void
-    pad(const char *key)
-    {
-        if (!first_)
-            out_ += ",\n";
-        indent();
-        if (key != nullptr) {
-            out_ += jsonString(key);
-            out_ += ": ";
-        }
-        first_ = false;
-    }
-
-    void
-    indent()
-    {
-        out_.append(static_cast<size_t>(depth_) * 2, ' ');
-    }
-
-    std::string out_;
-    int depth_ = 0;
-    bool first_ = true;
-};
+using json::Writer;
 
 void
-emitTenant(Json &j, const TenantResult &t, ScenarioMode mode,
+emitTenant(Writer &j, const TenantResult &t, ScenarioMode mode,
            bool llm = false)
 {
     j.open();
@@ -346,7 +212,7 @@ emitTenant(Json &j, const TenantResult &t, ScenarioMode mode,
 }
 
 void
-emitFleet(Json &j, const Scenario &s, const ScenarioOutcome &o)
+emitFleet(Writer &j, const Scenario &s, const ScenarioOutcome &o)
 {
     const FleetResult &r = o.fleet;
     j.open("fleet");
@@ -466,7 +332,7 @@ emitFleet(Json &j, const Scenario &s, const ScenarioOutcome &o)
 }
 
 void
-emitServing(Json &j, const ScenarioOutcome &o)
+emitServing(Writer &j, const ScenarioOutcome &o)
 {
     const ServingResult &r = o.serving;
     j.open("serving");
@@ -489,7 +355,8 @@ emitServing(Json &j, const ScenarioOutcome &o)
 std::string
 outcomeJson(const Scenario &s, const ScenarioOutcome &o)
 {
-    Json j;
+    std::string out;
+    Writer j(out);
     j.open();
     j.str("schema", "neu10-scenario-result-v1");
     j.str("scenario", s.name);
@@ -503,21 +370,16 @@ outcomeJson(const Scenario &s, const ScenarioOutcome &o)
     else
         emitServing(j, o);
     j.close();
-    return j.take();
+    out += '\n';
+    return out;
 }
 
 void
 writeOutcomeJson(const std::string &path, const Scenario &s,
                  const ScenarioOutcome &o)
 {
-    const std::string body = outcomeJson(s, o);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
+    if (!json::writeTextFile(path, outcomeJson(s, o)))
         fatal("cannot write scenario result '%s'", path.c_str());
-    const size_t n = std::fwrite(body.data(), 1, body.size(), f);
-    const bool ok = n == body.size() && std::fclose(f) == 0;
-    if (!ok)
-        fatal("error writing scenario result '%s'", path.c_str());
 }
 
 } // namespace neu10

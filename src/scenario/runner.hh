@@ -16,7 +16,7 @@
  *
  * The JSON record follows the determinism contract: stable key
  * order, no wall-clock or host-dependent fields, and doubles printed
- * as shortest round-trip decimals (std::to_chars) — two identical
+ * as shortest round-trip decimals (common/json.hh) — two identical
  * configs yield byte-identical files, which is what lets CI diff
  * runner output against checked-in goldens (scenarios/goldens/).
  */

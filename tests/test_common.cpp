@@ -1,20 +1,28 @@
 /**
  * @file
  * Unit tests for src/common: logging, RNG determinism and statistics,
- * string/unit formatting, hardened env parsing, and the host thread
- * pool.
+ * string/unit formatting, hardened env parsing, the host thread pool,
+ * and the JSON writer.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/strings.hh"
@@ -323,6 +331,171 @@ TEST(Env, EnvWrappersUseFallbackWhenUnset)
     EXPECT_THROW(envFlag("NEU10_TEST_ENV", false), FatalError);
     setLogLevel(LogLevel::Warn);
     ::unsetenv("NEU10_TEST_ENV");
+}
+
+// ------------------------------------------------------------ json
+
+/** printf-rendered @p v, the reference the writer must match. */
+std::string
+printfDouble(const char *fmt, double v)
+{
+    char buf[512];
+    const int n = std::snprintf(buf, sizeof(buf), fmt, v);
+    return std::string(buf, static_cast<size_t>(n));
+}
+
+TEST(Json, FixedAndGeneralMatchPrintf)
+{
+    // The trace and metrics files were printf-rendered (%.6f, %.9g,
+    // %.0f); the writer must reproduce those bytes on any value.
+    // Half the corpus is timestamp- and rate-like magnitudes, half
+    // raw finite bit patterns (subnormals, huge exponents).
+    Rng rng(0x6a736f6e);
+    for (int i = 0; i < 200000; ++i) {
+        double v = 0.0;
+        if (i % 2 == 0) {
+            v = rng.uniform(0.0, 1.0) *
+                std::pow(10.0, static_cast<double>(rng.below(25)) - 8.0);
+            // Exact halves probe the round-half-even ties.
+            if (i % 10 == 0)
+                v = static_cast<double>(rng.below(2000)) * 0.5;
+        } else {
+            do {
+                v = std::bit_cast<double>(rng.next());
+            } while (!std::isfinite(v));
+        }
+        if (rng.below(2) == 0)
+            v = -v;
+        std::string fixed6, general9, fixed0;
+        json::appendFixed(fixed6, v, 6);
+        json::appendGeneral(general9, v, 9);
+        json::appendFixed(fixed0, v, 0);
+        ASSERT_EQ(fixed6, printfDouble("%.6f", v)) << i;
+        ASSERT_EQ(general9, printfDouble("%.9g", v)) << i;
+        ASSERT_EQ(fixed0, printfDouble("%.0f", v)) << i;
+    }
+}
+
+TEST(Json, ShortestRoundTrips)
+{
+    Rng rng(7);
+    for (int i = 0; i < 10000; ++i) {
+        const double v = rng.exponential(1e6);
+        std::string s;
+        json::appendShortest(s, v);
+        EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
+    }
+    std::string s;
+    json::appendShortest(s, 0.1);
+    EXPECT_EQ(s, "0.1");
+}
+
+TEST(Json, EscapesEveryControlByteQuoteAndBackslash)
+{
+    const char *const expected[0x20] = {
+        "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004",
+        "\\u0005", "\\u0006", "\\u0007", "\\b",     "\\t",
+        "\\n",     "\\u000b", "\\f",     "\\r",     "\\u000e",
+        "\\u000f", "\\u0010", "\\u0011", "\\u0012", "\\u0013",
+        "\\u0014", "\\u0015", "\\u0016", "\\u0017", "\\u0018",
+        "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d",
+        "\\u001e", "\\u001f"};
+    for (int b = 0; b < 0x20; ++b) {
+        std::string out;
+        json::appendString(out, std::string("a") + static_cast<char>(b) +
+                                    "z");
+        EXPECT_EQ(out, std::string("\"a") + expected[b] + "z\"") << b;
+    }
+    std::string out;
+    json::appendString(out, "say \"hi\" \\ \x7f\xc3\xa9");
+    EXPECT_EQ(out, "\"say \\\"hi\\\" \\\\ \x7f\xc3\xa9\"");
+}
+
+TEST(Json, IntegerEdgeValues)
+{
+    std::string out;
+    json::Writer w(out, json::Layout::Compact);
+    w.openList();
+    w.num(nullptr, 0u);
+    w.num(nullptr, -1);
+    w.num(nullptr, std::numeric_limits<std::uint64_t>::max());
+    w.num(nullptr, std::numeric_limits<std::int64_t>::min());
+    w.num(nullptr, std::numeric_limits<std::int64_t>::max());
+    w.num(nullptr, std::numeric_limits<std::uint32_t>::max());
+    w.closeList();
+    EXPECT_EQ(out, "[0,-1,18446744073709551615,-9223372036854775808,"
+                   "9223372036854775807,4294967295]");
+}
+
+TEST(Json, WriterLayouts)
+{
+    const auto build = [](json::Layout layout) {
+        std::string out;
+        json::Writer w(out, layout);
+        w.open();
+        w.str("name", "x");
+        w.fixed("wall", 0.5, 3);
+        w.open("inner");
+        w.boolean("ok", true);
+        w.hex("id", 0xabcu);
+        w.close();
+        w.openList("points");
+        w.openList();
+        w.general(nullptr, 1.0 / 3.0, 9);
+        w.num(nullptr, 2.5);
+        w.closeList();
+        w.closeList();
+        w.close();
+        return out;
+    };
+    EXPECT_EQ(build(json::Layout::Compact),
+              "{\"name\":\"x\",\"wall\":0.500,\"inner\":{\"ok\":true,"
+              "\"id\":\"0xabc\"},\"points\":[[0.333333333,2.5]]}");
+    EXPECT_EQ(build(json::Layout::Pretty),
+              "{\n"
+              "  \"name\": \"x\",\n"
+              "  \"wall\": 0.500,\n"
+              "  \"inner\": {\n"
+              "    \"ok\": true,\n"
+              "    \"id\": \"0xabc\"\n"
+              "  },\n"
+              "  \"points\": [\n"
+              "    [\n"
+              "      0.333333333,\n"
+              "      2.5\n"
+              "    ]\n"
+              "  ]\n"
+              "}");
+}
+
+TEST(Json, NonFiniteValuesPanic)
+{
+    setLogLevel(LogLevel::Silent);
+    std::string out;
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(json::appendShortest(out, nan), PanicError);
+    EXPECT_THROW(json::appendFixed(out, inf, 6), PanicError);
+    EXPECT_THROW(json::appendGeneral(out, -inf, 9), PanicError);
+    EXPECT_TRUE(out.empty());
+    setLogLevel(LogLevel::Warn);
+}
+
+TEST(Json, WriteTextFileReportsFailure)
+{
+    const std::string path = ::testing::TempDir() + "neu10_json_test.txt";
+    ASSERT_TRUE(json::writeTextFile(path, "{}\n"));
+    std::ifstream in(path);
+    std::stringstream body;
+    body << in.rdbuf();
+    EXPECT_EQ(body.str(), "{}\n");
+    std::remove(path.c_str());
+    EXPECT_FALSE(json::writeTextFile("/nonexistent/dir/x.json", "{}"));
+    // The open succeeds but the write cannot reach the device.
+    if (std::FILE *full = std::fopen("/dev/full", "w")) {
+        std::fclose(full);
+        EXPECT_FALSE(json::writeTextFile("/dev/full", "{}"));
+    }
 }
 
 } // anonymous namespace

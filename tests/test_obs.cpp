@@ -6,7 +6,8 @@
  * bookkeeping, and the determinism contract end-to-end: a traced
  * fleet run must produce byte-identical trace files at any
  * FleetConfig::threads width, across engines, and under a board-loss
- * fault — and tracing must not perturb the simulation results.
+ * fault — and tracing must not perturb the simulation results —
+ * plus a pinned digest of the exported trace and metrics bytes.
  */
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "resilience/faults.hh"
+#include "scenario/runner.hh"
 
 namespace neu10
 {
@@ -298,6 +300,45 @@ TEST(TraceDeterminism, TracingDoesNotPerturbResults)
     EXPECT_EQ(rt.rejected, ro.rejected);
     EXPECT_DOUBLE_EQ(rt.makespan, ro.makespan);
     EXPECT_DOUBLE_EQ(rt.p99(), ro.p99());
+}
+
+// ------------------------------------------------- export bytes
+
+/** FNV-1a over @p bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(const std::string &bytes, std::uint64_t h = 0xcbf29ce484222325ull)
+{
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Obs, ExportBytesMatchPinnedDigest)
+{
+    // The smoke resilience_board_loss run, traced as NEU10_TRACE=1
+    // traces it: a board lost for good puts kCyclesInf into fault
+    // args, which export as -1 sentinels. The pinned digest comes
+    // from the printf-based exporters (%.6f timestamps, %.9g args and
+    // metric values, %.0f clocks), so it holds the trace and metrics
+    // writers to those bytes.
+    Scenario s = loadScenarioFile(std::string(NEU10_SCENARIO_DIR) +
+                                  "/resilience_board_loss.scn");
+    s.smoke = true;
+    s.trace.enabled = true;
+    s.trace.metrics = true;
+    const ScenarioOutcome o = runScenario(s);
+    const std::string trace = o.fleet.trace.chromeJson();
+    const std::string metrics = o.fleet.metrics.json(s.board.core.freqHz);
+
+    size_t sentinels = 0;
+    for (size_t at = trace.find(":-1"); at != std::string::npos;
+         at = trace.find(":-1", at + 1))
+        ++sentinels;
+    EXPECT_EQ(sentinels, 4u);
+    const std::uint64_t h = fnv1a(metrics, fnv1a(trace));
+    EXPECT_EQ(h, 0xb8193e1a31fe5100ull) << std::hex << h;
 }
 
 } // anonymous namespace

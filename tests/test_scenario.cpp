@@ -1133,5 +1133,23 @@ TEST(ScenarioLibrary, EveryCommittedScenarioParses)
     EXPECT_GE(n, 8u) << "the committed scenario library shrank";
 }
 
+TEST(ScenarioJson, ControlCharactersInNamesAreEscaped)
+{
+    // Scenario names and descriptions are free text from the .scn
+    // file; the result record must stay valid JSON whatever they hold.
+    Scenario s = loadScenarioFile(std::string(NEU10_SCENARIO_DIR) +
+                                  "/perf_fleet_4board.scn");
+    s.smoke = true;
+    s.name = "perf\tfleet\x01 \"q\"";
+    s.description = s.name;
+    const std::string json = outcomeJson(s, runScenario(s));
+    EXPECT_NE(json.find("\"perf\\tfleet\\u0001 \\\"q\\\"\""),
+              std::string::npos);
+    // The pretty layout's newlines are the only raw control bytes.
+    for (const char c : json)
+        EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+            << static_cast<int>(c);
+}
+
 } // anonymous namespace
 } // namespace neu10

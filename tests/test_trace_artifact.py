@@ -4,7 +4,8 @@
 Runs bench_cluster_serving in smoke mode with NEU10_TRACE=on, then
 validates the emitted Chrome trace and metrics JSON with
 tools/check_trace.py — the exact pipeline CI's traced smoke-run job
-uses, so a bench or exporter regression fails here first.
+uses, so a bench or exporter regression fails here first. Also feeds
+the checker a hand-written trace holding NaN, which must fail.
 
 Usage: test_trace_artifact.py REPO_ROOT BENCH_BINARY
 """
@@ -52,7 +53,19 @@ def main():
              "--require-event", "complete",
              "--require-event", "place",
              "--require-event", "epoch"])
-    print("ok: traced smoke run produced a valid trace + metrics")
+        # A non-finite number leaking into an export must fail the
+        # check, although Python's json module would parse it.
+        bad = pathlib.Path(tmp) / "nan.trace.json"
+        bad.write_text('{"traceEvents": [{"ph": "i", "pid": 0, '
+                       '"tid": 0, "ts": NaN, "s": "t", "cat": "c", '
+                       '"name": "n"}]}\n')
+        proc = subprocess.run([sys.executable, check, bad],
+                              capture_output=True, text=True)
+        if proc.returncode != 1:
+            sys.exit(f"FAIL: check_trace.py exited {proc.returncode} "
+                     f"on a NaN timestamp, expected 1")
+    print("ok: traced smoke run produced a valid trace + metrics; "
+          "a NaN trace is rejected")
 
 
 if __name__ == "__main__":

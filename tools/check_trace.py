@@ -5,6 +5,8 @@ Checks the contract docs/OBSERVABILITY.md promises to trace
 consumers, so CI catches a malformed export before a human loads it
 into Perfetto:
 
+  - the file is strict JSON: NaN, Infinity and -Infinity, which
+    Python's json module accepts by default, are rejected;
   - top level is an object with a "traceEvents" list;
   - every event's phase is one of M (metadata), X (complete span),
     i (instant), b/e (async-nestable begin/end), and carries the
@@ -64,13 +66,19 @@ class Checker:
         return self.failures == 0
 
 
+def reject_constant(token):
+    # Python's json accepts NaN/Infinity/-Infinity by default; they
+    # are not JSON, and the writer never emits them on purpose.
+    raise ValueError(f"non-finite number {token}")
+
+
 def load_json(path):
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, parse_constant=reject_constant)
     except OSError as err:
         sys.exit(f"error: cannot read {path}: {err}")
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # includes json.JSONDecodeError
         sys.exit(f"error: {path} is not valid JSON: {err}")
 
 

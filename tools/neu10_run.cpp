@@ -235,10 +235,13 @@ run(int argc, char **argv)
         const std::string path =
             s.traceOut.empty() ? s.name + ".trace.json" : s.traceOut;
         if (s.mode == ScenarioMode::OpenLoop) {
-            o.fleet.trace.writeChromeJson(path);
-            if (s.trace.metrics)
-                o.fleet.metrics.writeJson(path + ".metrics.json",
-                                          s.board.core.freqHz);
+            if (!o.fleet.trace.writeChromeJson(path))
+                fatal("cannot write trace '%s'", path.c_str());
+            if (s.trace.metrics &&
+                !o.fleet.metrics.writeJson(path + ".metrics.json",
+                                           s.board.core.freqHz))
+                fatal("cannot write metrics '%s.metrics.json'",
+                      path.c_str());
             std::printf("trace       %llu events -> %s\n",
                         static_cast<unsigned long long>(
                             o.fleet.trace.totalEvents()),
