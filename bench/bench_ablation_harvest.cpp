@@ -75,7 +75,7 @@ runWith(const WorkloadPair &pair, bool harvest_me, bool harvest_ve,
     for (int i = 0; i < 2; ++i)
         result.tenants[i].throughput =
             result.tenants[i].completed / clock.toSeconds(window);
-    result.meUsefulUtil = core.meUseful().utilization(0.0, window);
+    result.meUsefulUtil = core.meUseful().utilization(window);
     return result;
 }
 

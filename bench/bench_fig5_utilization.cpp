@@ -12,6 +12,7 @@
 #include "npu/core_sim.hh"
 #include "runtime/serving.hh"
 #include "sched/policy.hh"
+#include "stats/timeseries.hh"
 
 using namespace neu10;
 
@@ -37,17 +38,23 @@ soloUtilization(ModelId id, unsigned batch)
     Cycles finish = 0.0;
     core.submit(0, &prog,
                 [&](const RequestResult &r) { finish = r.finishTime; });
-    queue.runUntil();
+    // The trackers keep only running integrals; the over-time view
+    // samples their busy counts after every event.
+    TimeSeries me_busy;
+    TimeSeries ve_busy;
+    do {
+        me_busy.record(queue.now(), core.meUseful().busy());
+        ve_busy.record(queue.now(), core.veBusy().busy());
+    } while (queue.step());
 
-    const auto me =
-        core.meUseful().series().rebin(0.0, finish, kBins);
-    const auto ve = core.veBusy().series().rebin(0.0, finish, kBins);
+    const auto me = me_busy.rebin(0.0, finish, kBins);
+    const auto ve = ve_busy.rebin(0.0, finish, kBins);
 
     std::printf("%-13s b=%-3u request=%9.3f ms  avg ME %.0f%%  avg VE "
                 "%.0f%%\n",
                 modelAbbrev(id).c_str(), batch, bench::toMs(finish),
-                100.0 * core.meUseful().utilization(0.0, finish),
-                100.0 * core.veBusy().utilization(0.0, finish));
+                100.0 * core.meUseful().utilization(finish),
+                100.0 * core.veBusy().utilization(finish));
     std::printf("  ME%% |%s|\n",
                 bench::sparkline(me, cfg.numMes).c_str());
     std::printf("  VE%% |%s|\n",

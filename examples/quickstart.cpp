@@ -80,7 +80,7 @@ main()
     std::printf("inference finished at t=%.3f ms simulated\n",
                 clock.toSeconds(queue.now()) * 1e3);
     std::printf("ME utilization %.1f%%, VE utilization %.1f%%\n",
-                100.0 * core.meUseful().utilization(0.0, queue.now()),
-                100.0 * core.veBusy().utilization(0.0, queue.now()));
+                100.0 * core.meUseful().utilization(queue.now()),
+                100.0 * core.veBusy().utilization(queue.now()));
     return 0;
 }

@@ -382,9 +382,9 @@ runServing(const ServingConfig &config)
     const Cycles window = std::max(1.0, stop_time);
     const Clock clock(config.core.freqHz);
     result.makespan = stop_time;
-    result.meUsefulUtil = core.meUseful().utilization(0.0, window);
-    result.meHeldUtil = core.meHeld().utilization(0.0, window);
-    result.veUtil = core.veBusy().utilization(0.0, window);
+    result.meUsefulUtil = core.meUseful().utilization(window);
+    result.meHeldUtil = core.meHeld().utilization(window);
+    result.veUtil = core.veBusy().utilization(window);
     result.avgHbmBytesPerCycle = core.hbmBytesTransferred() / window;
 
     for (size_t i = 0; i < result.tenants.size(); ++i) {

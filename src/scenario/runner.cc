@@ -1,6 +1,7 @@
 #include "scenario/runner.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -108,6 +109,18 @@ toFleetConfig(const Scenario &s)
         t.traffic.ratePerSec =
             g.rho > 0.0 ? g.rho * cfg.board.core.freqHz / service[k]
                         : g.ratePerSec;
+        // A huge load overflows the rate to inf (or the mean gap
+        // between arrivals to 0), which the arrival generators cannot
+        // draw from; reject it like any other out-of-range value.
+        const double mean_gap =
+            1.0 / (t.traffic.ratePerSec / cfg.board.core.freqHz);
+        if (!std::isfinite(t.traffic.ratePerSec) || !(mean_gap > 0.0))
+            fatal("%s:%u: [tenant.%s] %s=%g gives an arrival rate of "
+                  "%g/s, which has no positive mean gap in cycles",
+                  s.file.c_str(), g.line, g.name.c_str(),
+                  g.rho > 0.0 ? "rho" : "rate-per-sec",
+                  g.rho > 0.0 ? g.rho : g.ratePerSec,
+                  t.traffic.ratePerSec);
         t.traffic.seed = (g.hasSeed ? g.seed : s.seed) + i;
         t.sloCycles = g.sloFactor > 0.0 ? g.sloFactor * service[k]
                                         : g.sloCycles;

@@ -1,5 +1,7 @@
 #include "stats/utilization.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace neu10
@@ -12,13 +14,6 @@ UtilizationTracker::UtilizationTracker(double capacity)
 }
 
 void
-UtilizationTracker::setCapacity(double capacity)
-{
-    NEU10_ASSERT(capacity > 0.0, "capacity must be positive");
-    capacity_ = capacity;
-}
-
-void
 UtilizationTracker::setBusy(Cycles time, double busy)
 {
     NEU10_ASSERT(time >= lastTime_, "utilization updates must be ordered");
@@ -26,7 +21,17 @@ UtilizationTracker::setBusy(Cycles time, double busy)
     integral_ += busy_ * (time - lastTime_);
     lastTime_ = time;
     busy_ = busy < 0.0 ? 0.0 : busy;
-    series_.record(time, busy_);
+
+    if (hasSegment_) {
+        if (busy_ == segValue_)
+            return; // same value: the open segment extends
+        const Cycles start = std::max(segStart_, 0.0);
+        if (time > start)
+            closedSum_ += segValue_ * (time - start);
+    }
+    hasSegment_ = true;
+    segStart_ = time;
+    segValue_ = busy_;
 }
 
 double
@@ -39,23 +44,19 @@ UtilizationTracker::busyIntegral(Cycles time) const
 }
 
 double
-UtilizationTracker::utilization(Cycles t0, Cycles t1) const
+UtilizationTracker::utilization(Cycles end) const
 {
-    if (t1 <= t0)
+    NEU10_ASSERT(end >= lastTime_,
+                 "utilization window end %g precedes the last update %g",
+                 end, lastTime_);
+    if (!hasSegment_ || end <= 0.0)
         return 0.0;
-    // The series holds the full busy-count history, so windows that start
-    // before the last update are handled exactly; the busy count before
-    // the first record is implicitly zero.
-    return series_.average(t0, t1) / capacity_;
-}
-
-void
-UtilizationTracker::reset()
-{
-    busy_ = 0.0;
-    lastTime_ = 0.0;
-    integral_ = 0.0;
-    series_.reset();
+    // The busy count before the first update is implicitly zero.
+    double weighted = closedSum_;
+    const Cycles start = std::max(segStart_, 0.0);
+    if (end > start)
+        weighted += segValue_ * (end - start);
+    return weighted / end / capacity_;
 }
 
 } // namespace neu10

@@ -2,9 +2,10 @@
 // must stay silent —
 //   * unordered iteration whose output is sorted before it reaches
 //     the Result, behind the documented allow() escape;
-//   * unordered iteration in a function with no *Result/JSON flow
-//     (erasure bookkeeping — order-insensitive);
 //   * ordered iteration over an int-keyed std::map (deterministic).
+// LaneBook's order-insensitive erasure walk lives in lane_retire.cc:
+// this file names a *Result type, so every unordered walk in it is
+// in unordered-iter's file scope.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -43,19 +44,6 @@ LaneBook::snapshot() const
     for (double ms : r.lat_ms)
         r.total_ms += ms;
     return r;
-}
-
-void
-LaneBook::retire(unsigned below)
-{
-    // Order-insensitive: no *Result/JSON flow in this function, so
-    // the type-based rule must not fire on this walk.
-    for (auto it = open_.begin(); it != open_.end();) {
-        if (it->first < below)
-            it = open_.erase(it);
-        else
-            ++it;
-    }
 }
 
 double

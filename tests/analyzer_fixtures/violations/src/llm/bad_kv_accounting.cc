@@ -1,8 +1,8 @@
-// Lint fixture: the two determinism bugs the llm/ scope exists to
+// Fixture: the two determinism bugs the llm/ scope exists to
 // catch — exact FP equality in KV-page accounting and hash-order
 // iteration over per-sequence page books (llm/ is a deterministic-
 // export scope, so the rule fires on the path alone, no *Result
-// type needed). Never compiled — test_lint_tools.py asserts the
+// type needed). Never compiled — test_analyzer_tools.py asserts the
 // flags.
 #include <cstdint>
 #include <unordered_map>

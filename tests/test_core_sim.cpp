@@ -468,9 +468,9 @@ TEST(Stats, UtilizationTrackersConsistent)
     Harness h(PolicyKind::Neu10);
     h.runOne(0, meModel(4, 10000.0, 20000.0));
     const Cycles end = h.queue.now();
-    const double me_u = h.core->meUseful().utilization(0.0, end);
-    const double me_h = h.core->meHeld().utilization(0.0, end);
-    const double ve_u = h.core->veBusy().utilization(0.0, end);
+    const double me_u = h.core->meUseful().utilization(end);
+    const double me_h = h.core->meHeld().utilization(end);
+    const double ve_u = h.core->veBusy().utilization(end);
     EXPECT_GT(me_u, 0.0);
     EXPECT_LE(me_u, me_h + 1e-9);
     EXPECT_LE(me_h, 1.0 + 1e-9);

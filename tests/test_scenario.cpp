@@ -1052,6 +1052,25 @@ TEST(ScenarioExpand, RhoAndSloFactorUseAllocatorServiceEstimate)
     EXPECT_EQ(cfg.tenants[0].sloCycles, 5.0 * service);
 }
 
+TEST(ScenarioExpand, OverflowingRhoFailsWithFileLine)
+{
+    // rho x freq / service overflows to inf: expansion must reject it
+    // with a diagnostic instead of handing the generator a zero gap.
+    const Scenario s = parse(
+        "[scenario]\nname = t\n[fleet]\nhorizon = 1e6\n"
+        "[tenant.a]\nmodel = MNIST\neus = 2\nrho = 1e300\n");
+    try {
+        toFleetConfig(s);
+        ADD_FAILURE() << "expected FatalError for rho = 1e300";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "test.scn:5: [tenant.a] rho=1e+300 gives an "
+                      "arrival rate of inf/s"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(ScenarioExpand, MaxCyclesFactorAndAbsolute)
 {
     Scenario s = parse(kMinimal);

@@ -268,7 +268,7 @@ TEST(Utilization, FullBusyIsOne)
     UtilizationTracker u(4.0);
     u.setBusy(0.0, 4.0);
     u.setBusy(100.0, 0.0);
-    EXPECT_DOUBLE_EQ(u.utilization(0.0, 100.0), 1.0);
+    EXPECT_DOUBLE_EQ(u.utilization(100.0), 1.0);
 }
 
 TEST(Utilization, HalfBusyIsHalf)
@@ -276,7 +276,7 @@ TEST(Utilization, HalfBusyIsHalf)
     UtilizationTracker u(4.0);
     u.setBusy(0.0, 2.0);
     u.setBusy(50.0, 2.0);
-    EXPECT_DOUBLE_EQ(u.utilization(0.0, 100.0), 0.5);
+    EXPECT_DOUBLE_EQ(u.utilization(100.0), 0.5);
 }
 
 TEST(Utilization, WindowedQuery)
@@ -285,9 +285,18 @@ TEST(Utilization, WindowedQuery)
     u.setBusy(0.0, 0.0);
     u.setBusy(10.0, 2.0);
     u.setBusy(20.0, 0.0);
-    EXPECT_DOUBLE_EQ(u.utilization(0.0, 10.0), 0.0);
-    EXPECT_DOUBLE_EQ(u.utilization(10.0, 20.0), 1.0);
-    EXPECT_DOUBLE_EQ(u.utilization(0.0, 40.0), 0.25);
+    EXPECT_DOUBLE_EQ(u.utilization(40.0), 0.25);
+}
+
+TEST(Utilization, WindowEndBeforeLastUpdatePanics)
+{
+    setLogLevel(LogLevel::Silent);
+    UtilizationTracker u(1.0);
+    u.setBusy(0.0, 1.0);
+    u.setBusy(20.0, 0.0);
+    EXPECT_THROW(u.utilization(10.0), PanicError);
+    EXPECT_DOUBLE_EQ(u.utilization(20.0), 1.0);
+    setLogLevel(LogLevel::Warn);
 }
 
 TEST(Utilization, BusyIntegralExtendsOpenInterval)
@@ -312,15 +321,6 @@ TEST(Utilization, OutOfOrderUpdatePanics)
     u.setBusy(10.0, 1.0);
     EXPECT_THROW(u.setBusy(5.0, 0.0), PanicError);
     setLogLevel(LogLevel::Warn);
-}
-
-TEST(Utilization, ResetRestartsIntegration)
-{
-    UtilizationTracker u(1.0);
-    u.setBusy(0.0, 1.0);
-    u.setBusy(10.0, 0.0);
-    u.reset();
-    EXPECT_DOUBLE_EQ(u.utilization(0.0, 10.0), 0.0);
 }
 
 } // anonymous namespace

@@ -1,16 +1,36 @@
 #!/usr/bin/env python3
-"""Whole-program determinism certifier for the neu10 source tree.
+"""Determinism gate for the neu10 source tree.
 
 Every published artifact — scenario goldens, parity suites, the
 BENCH_PERF speedup gates, the bit-identical-across-thread-widths and
-engine-equality contracts — assumes nothing in the simulation hot
-path can observe wall-clock time, unseeded randomness, the
-environment, thread identity, or hash-order iteration. The token
-lint (tools/lint_determinism.py) checks single lines against a
-hand-maintained scope list; this tool builds a cross-TU call graph
-of src/ and certifies the assumption whole-program:
+engine-equality contracts — assumes nothing in the simulation can
+observe wall-clock time, unseeded randomness, the environment, thread
+identity, or hash-order iteration. This tool is the one static check
+of that assumption. Per-file rules scan each file's code (comments
+and strings blanked) the same way under every frontend; whole-program
+rules run over a cross-TU call graph of src/:
 
-  impure-path      purity reachability: from the sim entry points
+  banned-random    (per file) rand()/srand(), std::random_device,
+                   time()/clock(), and std::chrono wall/steady clocks
+                   anywhere outside common/random.* — every stochastic
+                   element draws from the explicitly seeded Rng.
+  float-eq         (per file) == / != where either operand is a
+                   floating-point literal or a variable declared
+                   double/float/Cycles, in allocator/accounting code
+                   (vnpu/, stats/, sched/, cluster/, llm/).
+  naked-new        (per file) naked new / delete — owning raw pointers
+                   defeat the lifetime cleanliness the ASan gate checks.
+  unordered-iter   range-for or .begin() walk over a std::unordered_map
+                   /unordered_set, reported once per site from two
+                   scopes: (per file) any walk over a variable declared
+                   unordered in the same file, when the file names a
+                   *Result type or lives under obs/ or llm/ (the trace,
+                   metrics and KV-page books feed byte-exact outputs);
+                   (whole program) any walk over a local, file-scope
+                   variable or member of unordered type inside a
+                   function that produces *Result data or exports JSON,
+                   so new subsystems are covered by their types.
+  impure-path      (whole program) from the sim entry points
                    (runFleet, runServing, runLlmServing, runScenario,
                    the NpuCoreSim advance path) no call chain may
                    reach a nondeterminism source — std::chrono
@@ -21,22 +41,18 @@ of src/ and certifies the assumption whole-program:
                    writes outside common/logging. Each violation is
                    reported as the full chain entry -> ... -> banned,
                    with file:line for every hop.
-  unordered-iter   type-based result determinism: iteration over a
-                   variable or member whose declared type is
-                   std::unordered_map/unordered_set, inside a
-                   function that produces *Result data or exports
-                   JSON. Unlike the lint's path list, coverage comes
-                   from the types in use, so new subsystems are
-                   covered by default.
-  mutable-global   shared-state audit: every non-const namespace- or
+  mutable-global   (whole program) every non-const namespace- or
                    static-storage variable in src/ must be const,
                    constexpr, std::atomic, thread_local, or
                    NEU10_GUARDED_BY-annotated.
-  pointer-key-iter ordered iteration over a std::map/std::set keyed
-                   by a raw pointer — the order is the allocator's,
-                   not the program's.
+  pointer-key-iter (whole program) ordered iteration over a
+                   std::map/std::set keyed by a raw pointer — the
+                   order is the allocator's, not the program's.
+  stale-allow      an allow() directive naming a rule that suppresses
+                   no finding — the escape must be removed, not rot.
 
-Frontends (--frontend, default "auto" = best available):
+Frontends for the whole-program rules (--frontend, default "auto" =
+best available):
 
   libclang   clang.cindex over compile_commands.json — genuine AST
              and type queries. Needs the libclang Python bindings
@@ -47,11 +63,14 @@ Frontends (--frontend, default "auto" = best available):
 
 Requesting libclang explicitly when unavailable exits 2 with a clear
 message; "auto" degrades to textual (with a warning) instead so CI
-always gets a verdict. Deliberate exceptions use the same escape as
-the lint, anchored to the finding line (same or immediately
-preceding line):
+always gets a verdict. Deliberate exceptions carry an inline escape
+naming the rules they waive, anchored to the finding line (same line,
+or the directive followed by comment-only lines and then the finding):
 
-    // neu10-lint: allow(impure-path): why this one is sound
+    // neu10-lint: allow(float-eq): comparing the untouched sentinel
+
+A directive naming a rule outside the list above is a file:line error
+(exit 2), so a misspelt escape cannot silently waive nothing.
 
 Findings are emitted as schema-versioned JSON (--json PATH, schema
 "neu10-analyze-v1") even on clean runs. --cache-dir caches per-file
@@ -61,10 +80,11 @@ re-parse what changed.
 Usage: python3 tools/neu10_analyze.py [--root DIR] [--build-dir DIR]
            [--frontend auto|libclang|textual] [--json PATH]
            [--cache-dir DIR] [--entry NAME]... [--list-rules]
-Exit status: 0 clean, 1 findings, 2 setup error.
+Exit status: 0 clean, 1 findings, 2 setup error or unknown allow() rule.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -77,14 +97,19 @@ SCHEMA = "neu10-analyze-v1"
 IR_VERSION = 8
 
 RULES = {
+    "banned-random": "unseeded/wall-clock randomness outside "
+                     "common/random",
+    "float-eq": "floating-point ==/!= in allocator/accounting code",
+    "naked-new": "naked new/delete",
+    "unordered-iter": "hash-order iteration in a *Result-naming or "
+                      "obs/ / llm/ file, or feeding *Result/JSON data",
     "impure-path": "call chain from a sim entry point reaches a "
                    "nondeterminism source",
-    "unordered-iter": "hash-order iteration feeding *Result data or "
-                      "JSON export (type-based)",
     "mutable-global": "non-const global/static neither atomic, "
                       "thread_local nor NEU10_GUARDED_BY-annotated",
     "pointer-key-iter": "ordered iteration over a raw-pointer-keyed "
                         "map/set",
+    "stale-allow": "allow() directive that suppresses nothing",
 }
 
 # Default purity roots: the fleet driver, both serving loops, the
@@ -99,6 +124,13 @@ DEFAULT_ENTRIES = [
     "NpuCoreSim::onEvent",
 ]
 
+# libc entropy/clock calls, shared by banned-random (per file) and
+# impure-path (reachable from an entry point).
+RAND_CALL_RE = re.compile(r"(?<![\w.:>])(?:std::)?s?rand\s*\(")
+TIME_CALL_RE = re.compile(r"(?<![\w.:>])(?:std::)?time\s*\(")
+CLOCK_CALL_RE = re.compile(r"(?<![\w.:>])(?:std::)?clock\s*\(")
+RANDOM_DEVICE_RE = re.compile(r"\brandom_device\b")
+
 # Nondeterminism sources for impure-path: (category, regex, human
 # name, path fragments whose files may use the source legitimately).
 # time()/clock() additionally pass the call-site heuristic below so
@@ -109,14 +141,11 @@ BANNED_SOURCES = [
      "std::chrono clock now()", ()),
     ("wall-clock", re.compile(r"\b(?:gettimeofday|clock_gettime)\s*\("),
      "gettimeofday()/clock_gettime()", ()),
-    ("wall-clock", re.compile(r"(?<![\w.:>])(?:std::)?time\s*\("),
-     "time()", ()),
-    ("wall-clock", re.compile(r"(?<![\w.:>])(?:std::)?clock\s*\("),
-     "clock()", ()),
-    ("unseeded-random", re.compile(r"(?<![\w.:>])(?:std::)?s?rand\s*\("),
-     "rand()/srand()", ("common/random",)),
-    ("unseeded-random", re.compile(r"\brandom_device\b"),
-     "std::random_device", ("common/random",)),
+    ("wall-clock", TIME_CALL_RE, "time()", ()),
+    ("wall-clock", CLOCK_CALL_RE, "clock()", ()),
+    ("unseeded-random", RAND_CALL_RE, "rand()/srand()", ("common/random",)),
+    ("unseeded-random", RANDOM_DEVICE_RE, "std::random_device",
+     ("common/random",)),
     ("environment", re.compile(r"(?<![\w.:>])(?:std::)?(?:secure_)?getenv\s*\("),
      "getenv()", ("common/env",)),
     ("thread-identity", re.compile(r"\bthis_thread\s*::\s*get_id\b"),
@@ -131,8 +160,6 @@ BANNED_SOURCES = [
      "fprintf(stdout/stderr)", ("common/logging",)),
 ]
 
-CALL_HEURISTIC = {"time", "clock", "rand", "srand"}
-
 CALL_PREFIX_KEYWORDS = {"return", "case", "if", "while", "for", "do",
                         "else", "switch", "co_return", "co_yield",
                         "and", "or", "not", "throw", "comma"}
@@ -146,12 +173,13 @@ KEYWORD_NONCALLS = {
     "co_yield", "co_return", "explicit", "typeid", "using",
 }
 
-ALLOW_RE = re.compile(r"neu10-lint:\s*allow\(([a-z\-,\s]+)\)")
+# Any parenthesised list, so a misspelt rule name is an error rather
+# than a directive that silently fails to parse.
+ALLOW_RE = re.compile(r"neu10-lint:\s*allow\(([^)]*)\)")
 RESULT_TYPE_RE = re.compile(r"\b[A-Z]\w*Result\b")
 JSON_NAME_RE = re.compile(r"[Jj]son|JSON")
 UNORDERED_DECL_RE = re.compile(
     r"unordered_(?:map|set)\s*<.*>[&\s]*([A-Za-z_]\w*)\s*[;({=\[,)]")
-UNORDERED_TYPE_RE = re.compile(r"\bunordered_(?:map|set)\b")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*:\s*([A-Za-z_]\w*)")
 # `.begin()` starts a walk; a lone `.end()` is the find()-lookup
 # idiom and carries no order dependence.
@@ -166,9 +194,45 @@ ORDERED_PTR_RE = re.compile(
     r"\b(?:std\s*::\s*)?(?:multi)?(?:map|set)\s*<")
 TEXT_EXTS = (".cc", ".cpp", ".cxx", ".hh", ".hpp", ".h")
 
+# ---- per-file rule vocabulary ---------------------------------------
+
+# Files exempt from banned-random: the seeded generator itself.
+RANDOM_EXEMPT = ("common/random.hh", "common/random.cc")
+
+# float-eq only applies to allocator/accounting code. llm/ qualifies:
+# KV-page occupancy/fragmentation accounting is FP and feeds goldens.
+FLOAT_EQ_SCOPES = ("vnpu/", "stats/", "sched/", "cluster/", "llm/")
+
+# unordered-iter's file scope: files that name a *Result type, plus
+# the directories whose files export deterministic byte streams (the
+# trace/metrics JSON the byte-identity tests compare, and the LLM
+# serving layer whose per-sequence KV books feed the byte-exact
+# scenario goldens) even when no *Result type is named there.
+RESULT_FILE_RE = re.compile(r"\b\w+Result\b")
+RESULT_SCOPES = ("obs/", "llm/")
+
+BANNED_RANDOM_RES = [
+    (RAND_CALL_RE, "rand()/srand()"),
+    (RANDOM_DEVICE_RE, "std::random_device"),
+    (TIME_CALL_RE, "time()"),
+    (CLOCK_CALL_RE, "clock()"),
+    (re.compile(r"\b(?:system|steady|high_resolution)_clock\b"),
+     "std::chrono clocks"),
+]
+
+FLOAT_LITERAL_RE = re.compile(r"(?<![\w.])(?:\d+\.\d*|\.\d+|\d+e[-+]?\d+)f?")
+NEW_RE = re.compile(r"(?<![\w.:>])new\s+[A-Za-z_(]")
+DELETE_RE = re.compile(r"(?<![\w.:>])delete\b(?!d)")
+FLOAT_DECL_RE = re.compile(
+    r"\b(?:double|float|Cycles)\b[^;=(]*?([A-Za-z_]\w*)\s*[;({=\[,]")
+FLOAT_TMPL_DECL_RE = re.compile(
+    r"<\s*(?:double|float|Cycles)\s*>[&\s]*([A-Za-z_]\w*)\s*[;({=\[]")
+CMP_RE = re.compile(r"([A-Za-z_][\w.\[\]>-]*|[^=!<>]\S*)\s*[=!]=\s*"
+                    r"([A-Za-z_][\w.\[\]>-]*|\S+)")
+
 
 # ---------------------------------------------------------------------------
-# Shared helpers (mirrors tools/lint_determinism.py semantics)
+# Source text, allow() directives and the per-file rules
 # ---------------------------------------------------------------------------
 
 def strip_comments_and_strings(text):
@@ -225,40 +289,124 @@ def strip_comments_and_strings(text):
     return "".join(out)
 
 
+@functools.lru_cache(maxsize=None)
+def load_source(path):
+    """(raw lines, code lines) of one file, read once per run and
+    shared by the textual frontend, the per-file rules and the allow()
+    scan."""
+    raw = path.read_text(encoding="utf-8", errors="replace")
+    return raw.splitlines(), strip_comments_and_strings(raw).splitlines()
+
+
 def looks_like_call(line, start):
+    """True when the match at line[start:] is a call site rather than
+    a declaration of a same-named variable (`Clock clock(freq)`)."""
     prefix = line[:start].rstrip()
     if not prefix:
         return True
     if prefix[-1].isalnum() or prefix[-1] == "_":
         word = re.search(r"([A-Za-z_]\w*)$", prefix)
         return bool(word) and word.group(1) in CALL_PREFIX_KEYWORDS
-    return prefix[-1] not in "&*>"
+    return prefix[-1] not in "&*>"  # `Clock &clock(`, `Foo *time(`
 
 
-def collect_allows(raw_lines, code_lines):
-    """Line -> set of waived rules. A directive anchors to its own
-    line and the next line holding code (comment-only continuation
-    lines are skipped). Unknown rule names are ignored here — the
-    lint owns its vocabulary, this tool owns RULES."""
-    allows = {}
+def collect_allows(rel, raw_lines, code_lines, errors):
+    """Parse allow() directives. Returns (allows, directives): allows
+    maps line -> {rule: directive}, where a directive covers its own
+    line and the next line holding code (comment-only lines in between
+    — the rest of the justification — are skipped). Each directive
+    records which of its rules suppressed a finding, for stale-allow.
+    A rule name outside RULES is appended to `errors`."""
+    allows, directives = {}, []
     for idx, line in enumerate(raw_lines, start=1):
         m = ALLOW_RE.search(line)
         if not m:
             continue
-        rules = {r.strip() for r in m.group(1).split(",")
-                 if r.strip() in RULES}
-        if not rules:
+        rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
+        unknown = sorted(rules - set(RULES))
+        if unknown or not rules:
+            errors.append(f"{rel}:{idx}: unknown rule(s) in allow(): "
+                          f"{', '.join(unknown) or '(none named)'}")
             continue
-        allows.setdefault(idx, set()).update(rules)
-        for j in range(idx + 1, len(code_lines) + 1):
-            allows.setdefault(j, set()).update(rules)
-            if code_lines[j - 1].strip():
+        directive = {"line": idx, "rules": rules, "consumed": set()}
+        directives.append(directive)
+        for j in range(idx, len(code_lines) + 1):
+            slot = allows.setdefault(j, {})
+            for rule in rules:
+                slot[rule] = directive
+            if j > idx and code_lines[j - 1].strip():
                 break
-    return allows
+    return allows, directives
 
 
-def is_exempt(rel_posix, fragments):
+def base_identifier(expr):
+    """Leading identifier of an expression like open[i].second."""
+    m = re.match(r"\s*[&*(]*([A-Za-z_]\w*)", expr)
+    return m.group(1) if m else ""
+
+
+def path_in(rel_posix, fragments):
     return any(frag in rel_posix for frag in fragments)
+
+
+def per_file_findings(rel, code_lines):
+    """banned-random, float-eq, naked-new and the file-scope half of
+    unordered-iter over one file's code lines. Frontend-independent."""
+    out = []
+
+    def report(line, rule, message):
+        out.append({"rule": rule, "file": rel, "line": line,
+                    "message": message})
+
+    numbered = list(enumerate(code_lines, start=1))
+    if not rel.endswith(RANDOM_EXEMPT):
+        for lineno, line in numbered:
+            for pattern, what in BANNED_RANDOM_RES:
+                m = pattern.search(line)
+                if m and looks_like_call(line, m.start()):
+                    report(lineno, "banned-random",
+                           f"{what} — draw from the seeded common/"
+                           "random Rng instead")
+
+    if any(RESULT_FILE_RE.search(line) for line in code_lines) or \
+            path_in(rel, RESULT_SCOPES):
+        unordered = {m.group(1) for line in code_lines
+                     for m in UNORDERED_DECL_RE.finditer(line)}
+        for lineno, line in numbered:
+            walked = [m.group(1) for m in RANGE_FOR_RE.finditer(line)]
+            walked += [m.group(1) for m in BEGIN_ITER_RE.finditer(line)]
+            for name in walked:
+                if name in unordered:
+                    report(lineno, "unordered-iter",
+                           f"iteration over unordered '{name}' in a "
+                           "deterministic-output file — order is "
+                           "hash/pointer dependent; sort or index")
+
+    if path_in(rel, FLOAT_EQ_SCOPES):
+        float_names = set()
+        for line in code_lines:
+            for rx in (FLOAT_DECL_RE, FLOAT_TMPL_DECL_RE):
+                float_names.update(m.group(1) for m in rx.finditer(line))
+        for lineno, line in numbered:
+            for m in CMP_RE.finditer(line):
+                lhs, rhs = m.group(1), m.group(2)
+                if FLOAT_LITERAL_RE.fullmatch(lhs.strip()) or \
+                        FLOAT_LITERAL_RE.fullmatch(rhs.strip()) or \
+                        base_identifier(lhs) in float_names or \
+                        base_identifier(rhs) in float_names:
+                    report(lineno, "float-eq",
+                           f"exact FP comparison '{m.group(0).strip()}'"
+                           " in accounting code — compare against an "
+                           "epsilon or restructure")
+
+    for lineno, line in numbered:
+        if NEW_RE.search(line):
+            report(lineno, "naked-new",
+                   "naked 'new' — use a container or smart pointer")
+        if DELETE_RE.search(line) and "= delete" not in line:
+            report(lineno, "naked-new",
+                   "naked 'delete' — use a container or smart pointer")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +559,8 @@ def parse_tu_textual(path, rel_posix):
     frontend: a comment/string-stripping scanner plus a brace scope
     tracker that classifies every '{' as namespace, class, function
     body, or initializer."""
-    raw = path.read_text(encoding="utf-8", errors="replace")
-    code = strip_comments_and_strings(raw)
-    code_lines = code.splitlines()
+    _, code_lines = load_source(path)
+    code = "\n".join(code_lines)
 
     ir = {
         "file": rel_posix,
@@ -613,7 +760,6 @@ def parse_tu_textual(path, rel_posix):
                 m = rx.search(line)
                 if not m:
                     continue
-                base = re.sub(r"[^a-z_]", "", what.split("(")[0])
                 if what in ("time()", "clock()", "rand()/srand()") \
                         and not looks_like_call(line, m.start()):
                     continue
@@ -925,7 +1071,7 @@ def rule_impure_path(program, entries, findings):
     while q:
         fn = q.popleft()
         for category, what, line, exempt in fn["banned"]:
-            if is_exempt(fn["file"], exempt):
+            if path_in(fn["file"], exempt):
                 continue
             site = (fn["file"], line, what)
             if site in seen_sites:
@@ -1166,24 +1312,46 @@ def main():
     rule_pointer_key_iter(program, findings)
     rule_mutable_global(program, findings)
 
-    # ---- allow() escapes, anchored exactly like the lint ----------
-    allows_by_file = {}
-
-    def allows_for(rel):
-        if rel not in allows_by_file:
-            path = root / rel
-            raw = path.read_text(encoding="utf-8", errors="replace")
-            code = strip_comments_and_strings(raw)
-            allows_by_file[rel] = collect_allows(
-                raw.splitlines(), code.splitlines())
-        return allows_by_file[rel]
+    # ---- per-file rules and allow() directives, every file --------
+    # unordered-iter reports each site once: a walk both halves see
+    # keeps the type-based message, which names the function.
+    typed_sites = {(f["file"], f["line"]) for f in findings
+                   if f["rule"] == "unordered-iter"}
+    allows_by_file, directives, errors = {}, [], []
+    for path in files:
+        rel = path.relative_to(root).as_posix()
+        raw_lines, code_lines = load_source(path)
+        findings.extend(
+            f for f in per_file_findings(rel, code_lines)
+            if f["rule"] != "unordered-iter" or
+            (rel, f["line"]) not in typed_sites)
+        allows_by_file[rel], file_directives = collect_allows(
+            rel, raw_lines, code_lines, errors)
+        directives.extend((rel, d) for d in file_directives)
+    if errors:
+        for err in errors:
+            print(err, file=sys.stderr)
+        print(f"neu10_analyze: {len(errors)} allow() directive(s) name "
+              f"unknown rules; known: {', '.join(RULES)}",
+              file=sys.stderr)
+        return 2
 
     kept, allowed = [], []
     for f in findings:
-        if f["rule"] in allows_for(f["file"]).get(f["line"], set()):
-            allowed.append(f)
-        else:
+        directive = allows_by_file.get(f["file"], {}) \
+            .get(f["line"], {}).get(f["rule"])
+        if directive is None:
             kept.append(f)
+        else:
+            directive["consumed"].add(f["rule"])
+            allowed.append(f)
+    for rel, d in directives:
+        for rule in sorted(d["rules"] - d["consumed"]):
+            kept.append({
+                "rule": "stale-allow", "file": rel, "line": d["line"],
+                "message": f"allow({rule}) no longer suppresses any "
+                           "finding — remove the directive",
+            })
     kept.sort(key=lambda f: (f["file"], f["line"], f["rule"]))
 
     for w in warnings:
