@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,10 @@ namespace neu10
 
 namespace
 {
+
+/** Arrival streams past this total are rejected at expansion: 240x
+ * the largest benchmark workload's. */
+constexpr double kMaxArrivals = 1e8;
 
 /** Expansion order: global tenant index per (group, instance). The
  * default round-robin interleave reproduces the benches' `i % 4`
@@ -97,6 +102,9 @@ toFleetConfig(const Scenario &s)
                          .serviceEstimate();
     }
 
+    // Expected arrivals per group over the horizon: the generators
+    // store every arrival up front, so this total bounds the memory.
+    std::vector<double> arrivals(s.groups.size(), 0.0);
     const std::vector<unsigned> order = expansionOrder(s);
     for (unsigned i = 0; i < order.size(); ++i) {
         const unsigned k = order[i];
@@ -109,24 +117,39 @@ toFleetConfig(const Scenario &s)
         t.traffic.ratePerSec =
             g.rho > 0.0 ? g.rho * cfg.board.core.freqHz / service[k]
                         : g.ratePerSec;
-        // A huge load overflows the rate to inf (or the mean gap
-        // between arrivals to 0), which the arrival generators cannot
-        // draw from; reject it like any other out-of-range value.
+        // A huge load overflows the rate (a mean gap between arrivals
+        // of 0) and a near-zero HBM bandwidth underflows it (an
+        // infinite gap); the arrival generators can draw from neither,
+        // so reject them like any other out-of-range value.
         const double mean_gap =
             1.0 / (t.traffic.ratePerSec / cfg.board.core.freqHz);
-        if (!std::isfinite(t.traffic.ratePerSec) || !(mean_gap > 0.0))
+        if (!(mean_gap > 0.0 && std::isfinite(mean_gap)))
             fatal("%s:%u: [tenant.%s] %s=%g gives an arrival rate of "
-                  "%g/s, which has no positive mean gap in cycles",
+                  "%g/s, which has no finite positive mean gap in "
+                  "cycles",
                   s.file.c_str(), g.line, g.name.c_str(),
                   g.rho > 0.0 ? "rho" : "rate-per-sec",
                   g.rho > 0.0 ? g.rho : g.ratePerSec,
                   t.traffic.ratePerSec);
+        arrivals[k] += t.traffic.ratePerSec * cfg.horizon /
+                       cfg.board.core.freqHz;
         t.traffic.seed = (g.hasSeed ? g.seed : s.seed) + i;
         t.sloCycles = g.sloFactor > 0.0 ? g.sloFactor * service[k]
                                         : g.sloCycles;
         t.maxQueueDepth = g.maxQueueDepth;
         t.priority = g.priority;
         cfg.tenants.push_back(t);
+    }
+    const double total =
+        std::accumulate(arrivals.begin(), arrivals.end(), 0.0);
+    if (total > kMaxArrivals) {
+        const ScenarioTenantGroup &g =
+            s.groups[std::max_element(arrivals.begin(), arrivals.end()) -
+                     arrivals.begin()];
+        fatal("%s:%u: the scenario expects %.4g arrivals over its "
+              "horizon, most from [tenant.%s]; at most %g fit in memory",
+              s.file.c_str(), g.line, total, g.name.c_str(),
+              kMaxArrivals);
     }
     return cfg;
 }

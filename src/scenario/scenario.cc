@@ -1,12 +1,14 @@
 #include "scenario/scenario.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -109,75 +111,6 @@ parseDouble(const std::string &text, const std::string &what)
     return parsed;
 }
 
-/** Lex the file into sections; all purely syntactic errors (missing
- * '=', keys outside a section, duplicate sections/keys) fire here. */
-std::vector<Section>
-lexScenario(const std::string &text, const std::string &file)
-{
-    std::vector<Section> sections;
-    std::set<std::string> seen_sections;
-    std::set<std::string> seen_keys; // "section\nkey"
-
-    std::istringstream in(text);
-    std::string raw;
-    unsigned line = 0;
-    while (std::getline(in, raw)) {
-        ++line;
-        const size_t hash = raw.find('#');
-        if (hash != std::string::npos)
-            raw.erase(hash);
-        const std::string stripped = trim(raw);
-        if (stripped.empty())
-            continue;
-
-        if (stripped.front() == '[') {
-            if (stripped.back() != ']')
-                failAt(file, line,
-                       csprintf("malformed section header '%s'; want "
-                                "'[name]'", stripped.c_str()));
-            const std::string name =
-                trim(stripped.substr(1, stripped.size() - 2));
-            if (name.empty())
-                failAt(file, line, "empty section name '[]'");
-            if (!seen_sections.insert(name).second)
-                failAt(file, line,
-                       csprintf("duplicate section [%s]",
-                                name.c_str()));
-            sections.push_back(Section{name, line, {}});
-            continue;
-        }
-
-        const size_t eq = stripped.find('=');
-        if (eq == std::string::npos)
-            failAt(file, line,
-                   csprintf("expected 'key = value' or '[section]', "
-                            "got '%s'", stripped.c_str()));
-        const std::string key = trim(stripped.substr(0, eq));
-        const std::string value = trim(stripped.substr(eq + 1));
-        if (key.empty())
-            failAt(file, line, "missing key before '='");
-        if (value.empty())
-            failAt(file, line,
-                   csprintf("key '%s' has an empty value",
-                            key.c_str()));
-        if (sections.empty())
-            failAt(file, line,
-                   csprintf("key '%s' appears before any [section] "
-                            "header", key.c_str()));
-        // `fault` lines are the one repeatable key: a fault trace is
-        // a list. Everything else set twice is a silent-override bug.
-        if (key != "fault") {
-            const std::string id = sections.back().name + '\n' + key;
-            if (!seen_keys.insert(id).second)
-                failAt(file, line,
-                       csprintf("duplicate key '%s' in section [%s]",
-                                key.c_str(),
-                                sections.back().name.c_str()));
-        }
-        sections.back().entries.push_back(Entry{key, value, line});
-    }
-    return sections;
-}
 
 /** Shared per-scenario interpretation state: the file name every
  * diagnostic carries plus typed value-parsing helpers. */
@@ -261,169 +194,10 @@ class Interp
         return v;
     }
 
-    [[noreturn]] void
-    unknownKey(const Entry &e, const std::string &section,
-               const char *vocabulary) const
-    {
-        fail(e.line, csprintf("unknown key '%s' in section [%s]; "
-                              "valid keys: %s", e.key.c_str(),
-                              section.c_str(), vocabulary));
-    }
-
   private:
     std::string file_;
 };
 
-void
-interpScenarioSection(const Interp &in, const Section &sec,
-                      Scenario &out)
-{
-    for (const Entry &e : sec.entries) {
-        if (e.key == "name")
-            out.name = e.value;
-        else if (e.key == "description")
-            out.description = e.value;
-        else
-            in.unknownKey(e, sec.name, "name, description");
-    }
-}
-
-const char *const kFleetVocabulary =
-    "mode, boards, chips-per-board, cores-per-chip, mes, ves, "
-    "freq-hz, sram-bytes, hbm-bytes, hbm-bytes-per-sec, placement, "
-    "core-policy, engine, threads, horizon, smoke-horizon, "
-    "max-cycles, max-cycles-factor, seed, tenant-order, "
-    "min-requests, smoke-min-requests";
-
-void
-interpFleetSection(const Interp &in, const Section &sec, Scenario &out)
-{
-    for (const Entry &e : sec.entries) {
-        if (e.key == "mode") {
-            const std::string low = toLower(e.value);
-            if (low == "open-loop")
-                out.mode = ScenarioMode::OpenLoop;
-            else if (low == "closed-loop")
-                out.mode = ScenarioMode::ClosedLoop;
-            else
-                in.fail(e.line,
-                        csprintf("unknown mode '%s'; valid modes are "
-                                 "'open-loop' and 'closed-loop'",
-                                 e.value.c_str()));
-        } else if (e.key == "boards") {
-            out.boards = in.positive(e);
-        } else if (e.key == "chips-per-board") {
-            out.board.numChips = in.positive(e);
-        } else if (e.key == "cores-per-chip") {
-            out.board.coresPerChip = in.positive(e);
-        } else if (e.key == "mes") {
-            out.board.core.numMes = in.positive(e);
-        } else if (e.key == "ves") {
-            out.board.core.numVes = in.positive(e);
-        } else if (e.key == "freq-hz") {
-            out.board.core.freqHz = in.positiveReal(e);
-        } else if (e.key == "sram-bytes") {
-            out.board.core.sramBytes = in.u64(e);
-        } else if (e.key == "hbm-bytes") {
-            out.board.core.hbmBytes = in.u64(e);
-        } else if (e.key == "hbm-bytes-per-sec") {
-            out.board.core.hbmBytesPerSec = in.positiveReal(e);
-        } else if (e.key == "placement") {
-            out.placement = withContext(in.file(), e.line, [&] {
-                return placementFromName(e.value);
-            });
-        } else if (e.key == "core-policy") {
-            out.corePolicy = withContext(in.file(), e.line, [&] {
-                return policyFromName(e.value);
-            });
-        } else if (e.key == "engine") {
-            out.engine = withContext(in.file(), e.line, [&] {
-                return engineFromName(e.value);
-            });
-        } else if (e.key == "threads") {
-            out.threads = in.u32(e);
-        } else if (e.key == "horizon") {
-            out.horizon = in.cycles(e);
-        } else if (e.key == "smoke-horizon") {
-            out.smokeHorizon = in.cycles(e);
-        } else if (e.key == "max-cycles") {
-            out.maxCycles = in.cycles(e);
-        } else if (e.key == "max-cycles-factor") {
-            out.maxCyclesFactor = in.positiveReal(e);
-        } else if (e.key == "seed") {
-            out.seed = in.u64(e);
-        } else if (e.key == "tenant-order") {
-            const std::string low = toLower(e.value);
-            if (low == "round-robin")
-                out.roundRobin = true;
-            else if (low == "grouped")
-                out.roundRobin = false;
-            else
-                in.fail(e.line,
-                        csprintf("unknown tenant-order '%s'; valid "
-                                 "orders are 'round-robin' and "
-                                 "'grouped'", e.value.c_str()));
-        } else if (e.key == "min-requests") {
-            out.minRequests = in.positive(e);
-        } else if (e.key == "smoke-min-requests") {
-            out.smokeMinRequests = in.positive(e);
-        } else {
-            in.unknownKey(e, sec.name, kFleetVocabulary);
-        }
-    }
-    if (out.horizon != 0.0 && std::isinf(out.horizon))
-        in.fail(sec.line, "horizon must be finite");
-    if (std::isinf(out.smokeHorizon))
-        in.fail(sec.line, "smoke-horizon must be finite");
-}
-
-void
-interpElasticSection(const Interp &in, const Section &sec,
-                     Scenario &out)
-{
-    for (const Entry &e : sec.entries) {
-        if (e.key == "epochs") {
-            out.elastic.epochs = in.positive(e);
-        } else if (e.key == "imbalance-threshold") {
-            const double v = in.real(e);
-            if (v < 0.0)
-                in.fail(e.line, "imbalance-threshold must be >= 0");
-            out.elastic.imbalanceThreshold = v;
-        } else if (e.key == "max-migrations-per-epoch") {
-            out.elastic.maxMigrationsPerEpoch = in.u32(e);
-        } else if (e.key == "migration-cost") {
-            out.elastic.migrationCostCycles = in.cycles(e);
-        } else if (e.key == "resize-on-migrate") {
-            out.elastic.resizeOnMigrate = in.flag(e);
-        } else if (e.key == "grow-factor") {
-            const double v = in.real(e);
-            if (v < 1.0)
-                in.fail(e.line, csprintf("grow-factor=%s must be >= "
-                                         "1.0 (1.0 = never grow)",
-                                         e.value.c_str()));
-            out.elastic.growFactor = v;
-        } else {
-            in.unknownKey(e, sec.name,
-                          "epochs, imbalance-threshold, "
-                          "max-migrations-per-epoch, migration-cost, "
-                          "resize-on-migrate, grow-factor");
-        }
-    }
-}
-
-void
-interpResilienceSection(const Interp &in, const Section &sec,
-                        Scenario &out)
-{
-    for (const Entry &e : sec.entries) {
-        if (e.key == "failover")
-            out.failover = in.flag(e);
-        else if (e.key == "recovery-stall")
-            out.recoveryStallCycles = in.cycles(e);
-        else
-            in.unknownKey(e, sec.name, "failover, recovery-stall");
-    }
-}
 
 /** `fault = <kind> at=<cycles>|at-frac=<0..1> [board=N] [core=N]
  *  [duration=<cycles>|inf]` */
@@ -506,188 +280,107 @@ parseFaultLine(const Interp &in, const Entry &e)
     return f;
 }
 
-void
-interpFaultsSection(const Interp &in, const Section &sec,
-                    Scenario &out)
+/** A setter's view of one `key = value` line: the Interp parsers
+ * applied to it, and the scenario it writes. */
+struct Field
 {
-    for (const Entry &e : sec.entries) {
-        if (e.key != "fault")
-            in.unknownKey(e, sec.name, "fault (repeatable)");
-        out.faults.push_back(parseFaultLine(in, e));
+    const Interp &in;
+    const Entry &e;
+    Scenario &s;
+
+    std::uint64_t u64() const { return in.u64(e); }
+    unsigned u32() const { return in.u32(e); }
+    unsigned positive() const { return in.positive(e); }
+    bool flag() const { return in.flag(e); }
+    double real() const { return in.real(e); }
+    double positiveReal() const { return in.positiveReal(e); }
+    Cycles cycles() const { return in.cycles(e); }
+
+    [[noreturn]] void fail(const std::string &m) const { in.fail(e.line, m); }
+
+    /** The group of the key's [tenant.<name>] section. */
+    ScenarioTenantGroup &g() const { return s.groups.back(); }
+
+    /** Run a vocabulary parser (placementFromName, ...). */
+    template <typename Fn>
+    auto
+    named(Fn &&fromName) const
+    {
+        return withContext(in.file(), e.line,
+                           [&] { return fromName(e.value); });
     }
+
+    /** A value that is one of two words, e.g. `mode`. */
+    template <typename T>
+    T
+    oneOf(const char *plural, const char *a, T va, const char *b,
+          T vb) const
+    {
+        const std::string low = toLower(e.value);
+        if (low == a)
+            return va;
+        if (low == b)
+            return vb;
+        fail(csprintf("unknown %s '%s'; valid %s are '%s' and '%s'",
+                      e.key.c_str(), e.value.c_str(), plural, a, b));
+    }
+
+    /** A real in @p interval: "(0, 1)", "[0, 1]" or "[0, 1)". */
+    double
+    fraction(const std::string &interval) const
+    {
+        const double v = real();
+        if ((interval.front() == '(' ? v <= 0.0 : v < 0.0) ||
+            (interval.back() == ')' ? v >= 1.0 : v > 1.0))
+            fail(csprintf("%s=%s must be within %s", e.key.c_str(),
+                          e.value.c_str(), interval.c_str()));
+        return v;
+    }
+};
+
+/** Larger fleets and tenant totals are rejected at parse time: far
+ * above any committed workload (at most 256 cores, 384 tenants) and
+ * far below what wraps the `unsigned` totals. */
+constexpr unsigned long long kMaxCores = 65536, kMaxTenants = 65536;
+
+void
+finishFleet(const Interp &in, const Section &sec, Scenario &s)
+{
+    if (s.horizon != 0.0 && std::isinf(s.horizon))
+        in.fail(sec.line, "horizon must be finite");
+    if (std::isinf(s.smokeHorizon))
+        in.fail(sec.line, "smoke-horizon must be finite");
+    // Each factor is below 2^32: no 64-bit product here can wrap.
+    const unsigned long long chips = 1ULL * s.boards * s.board.numChips;
+    if (chips > kMaxCores || chips * s.board.coresPerChip > kMaxCores)
+        in.fail(sec.line, csprintf("boards x chips-per-board x "
+                                   "cores-per-chip exceeds %llu cores",
+                                   kMaxCores));
 }
 
 void
-interpTraceSection(const Interp &in, const Section &sec, Scenario &out)
+finishLlm(const Interp &in, const Section &sec, Scenario &s)
 {
-    for (const Entry &e : sec.entries) {
-        if (e.key == "enabled")
-            out.trace.enabled = in.flag(e);
-        else if (e.key == "engine-events")
-            out.trace.engineEvents = in.flag(e);
-        else if (e.key == "metrics")
-            out.trace.metrics = in.flag(e);
-        else if (e.key == "out")
-            out.traceOut = e.value;
-        else
-            in.unknownKey(e, sec.name,
-                          "enabled, engine-events, metrics, out");
-    }
-}
-
-const char *const kLlmVocabulary =
-    "scheduler, page-tokens, max-batch, prompt-tokens, "
-    "prompt-tokens-max, output-tokens, output-tokens-max";
-
-void
-interpLlmSection(const Interp &in, const Section &sec, Scenario &out)
-{
-    out.hasLlm = true;
-    out.llmLine = sec.line;
-    for (const Entry &e : sec.entries) {
-        if (e.key == "scheduler") {
-            const std::string low = toLower(e.value);
-            if (low == "continuous")
-                out.llm.scheduler = LlmScheduler::Continuous;
-            else if (low == "static-batch")
-                out.llm.scheduler = LlmScheduler::StaticBatch;
-            else
-                in.fail(e.line,
-                        csprintf("unknown scheduler '%s'; valid "
-                                 "schedulers are 'continuous' and "
-                                 "'static-batch'", e.value.c_str()));
-        } else if (e.key == "page-tokens") {
-            out.llm.pageTokens = in.positive(e);
-        } else if (e.key == "max-batch") {
-            out.llm.maxBatch = in.positive(e);
-        } else if (e.key == "prompt-tokens") {
-            out.llm.promptTokens = in.positive(e);
-        } else if (e.key == "prompt-tokens-max") {
-            out.llm.promptTokensMax = in.positive(e);
-        } else if (e.key == "output-tokens") {
-            out.llm.outputTokens = in.positive(e);
-        } else if (e.key == "output-tokens-max") {
-            out.llm.outputTokensMax = in.positive(e);
-        } else {
-            in.unknownKey(e, sec.name, kLlmVocabulary);
-        }
-    }
-    if (out.llm.promptTokensMax != 0 &&
-        out.llm.promptTokensMax < out.llm.promptTokens)
+    s.hasLlm = true;
+    s.llmLine = sec.line;
+    if (s.llm.promptTokensMax != 0 &&
+        s.llm.promptTokensMax < s.llm.promptTokens)
         in.fail(sec.line,
                 csprintf("prompt-tokens-max=%u is below "
-                         "prompt-tokens=%u", out.llm.promptTokensMax,
-                         out.llm.promptTokens));
-    if (out.llm.outputTokensMax != 0 &&
-        out.llm.outputTokensMax < out.llm.outputTokens)
+                         "prompt-tokens=%u", s.llm.promptTokensMax,
+                         s.llm.promptTokens));
+    if (s.llm.outputTokensMax != 0 &&
+        s.llm.outputTokensMax < s.llm.outputTokens)
         in.fail(sec.line,
                 csprintf("output-tokens-max=%u is below "
-                         "output-tokens=%u", out.llm.outputTokensMax,
-                         out.llm.outputTokens));
+                         "output-tokens=%u", s.llm.outputTokensMax,
+                         s.llm.outputTokens));
 }
 
-const char *const kTenantVocabulary =
-    "model, batch, count, eus, mes, ves, outstanding, rho, "
-    "rate-per-sec, shape, burst-multiplier, burst-fraction, "
-    "burst-dwell-sec, diurnal-depth, diurnal-period-sec, "
-    "diurnal-phase, slo-factor, slo-cycles, max-queue-depth, "
-    "priority, seed";
-
-ScenarioTenantGroup
-interpTenantSection(const Interp &in, const Section &sec)
+void
+finishTenant(const Interp &in, const Section &sec, Scenario &s)
 {
-    ScenarioTenantGroup g;
-    g.name = sec.name.substr(std::string("tenant.").size());
-    g.line = sec.line;
-    if (g.name.empty())
-        in.fail(sec.line, "empty tenant name; want [tenant.<name>]");
-
-    bool has_model = false;
-    for (const Entry &e : sec.entries) {
-        if (e.key == "model") {
-            g.model = withContext(in.file(), e.line, [&] {
-                return modelFromAbbrev(e.value);
-            });
-            has_model = true;
-        } else if (e.key == "batch") {
-            g.batch = in.positive(e);
-        } else if (e.key == "count") {
-            g.count = in.positive(e);
-        } else if (e.key == "eus") {
-            g.eus = in.positive(e);
-        } else if (e.key == "mes") {
-            g.nMes = in.positive(e);
-        } else if (e.key == "ves") {
-            g.nVes = in.positive(e);
-        } else if (e.key == "outstanding") {
-            g.outstanding = in.positive(e);
-        } else if (e.key == "rho") {
-            g.rho = in.positiveReal(e);
-        } else if (e.key == "rate-per-sec") {
-            g.ratePerSec = in.positiveReal(e);
-        } else if (e.key == "shape") {
-            g.traffic.shape = withContext(in.file(), e.line, [&] {
-                return trafficShapeFromName(e.value);
-            });
-            if (g.traffic.shape == TrafficShape::Trace)
-                in.fail(e.line,
-                        "shape=trace needs an explicit arrival "
-                        "vector, which a scenario file cannot carry; "
-                        "use poisson, bursty or diurnal");
-        } else if (e.key == "burst-multiplier") {
-            const double v = in.real(e);
-            if (v <= 1.0)
-                in.fail(e.line, "burst-multiplier must be > 1");
-            g.traffic.burstMultiplier = v;
-        } else if (e.key == "burst-fraction") {
-            const double v = in.real(e);
-            if (v <= 0.0 || v >= 1.0)
-                in.fail(e.line,
-                        csprintf("burst-fraction=%s must be within "
-                                 "(0, 1)", e.value.c_str()));
-            g.traffic.burstFraction = v;
-        } else if (e.key == "burst-dwell-sec") {
-            g.traffic.burstDwellSec = in.positiveReal(e);
-        } else if (e.key == "diurnal-depth") {
-            const double v = in.real(e);
-            if (v < 0.0 || v > 1.0)
-                in.fail(e.line,
-                        csprintf("diurnal-depth=%s must be within "
-                                 "[0, 1]", e.value.c_str()));
-            g.traffic.diurnalDepth = v;
-        } else if (e.key == "diurnal-period-sec") {
-            g.traffic.diurnalPeriodSec = in.positiveReal(e);
-        } else if (e.key == "diurnal-phase") {
-            const double v = in.real(e);
-            if (v < 0.0 || v >= 1.0)
-                in.fail(e.line,
-                        csprintf("diurnal-phase=%s must be within "
-                                 "[0, 1)", e.value.c_str()));
-            g.traffic.diurnalPhase = v;
-        } else if (e.key == "slo-factor") {
-            g.sloFactor = in.positiveReal(e);
-        } else if (e.key == "slo-cycles") {
-            const Cycles v = in.cycles(e);
-            if (v <= 0.0)
-                in.fail(e.line, "slo-cycles must be > 0 (or 'inf')");
-            g.sloCycles = v;
-            g.hasSloCycles = true;
-        } else if (e.key == "max-queue-depth") {
-            g.maxQueueDepth = in.positive(e);
-        } else if (e.key == "priority") {
-            g.priority = in.positiveReal(e);
-        } else if (e.key == "seed") {
-            g.seed = in.u64(e);
-            g.hasSeed = true;
-        } else {
-            in.unknownKey(e, sec.name, kTenantVocabulary);
-        }
-    }
-
-    if (!has_model)
-        in.fail(sec.line,
-                csprintf("[%s] is missing the required 'model' key",
-                         sec.name.c_str()));
+    const ScenarioTenantGroup &g = s.groups.back();
     if (g.batch > maxBatch(g.model))
         in.fail(sec.line,
                 csprintf("[%s]: batch %u exceeds %s's maximum "
@@ -702,54 +395,409 @@ interpTenantSection(const Interp &in, const Section &sec)
         in.fail(sec.line,
                 csprintf("[%s] sets both rho and rate-per-sec; give "
                          "exactly one", sec.name.c_str()));
-    return g;
 }
 
-/** True when the group uses any open-loop-only key. Reported key
- * name for the closed-loop rejection diagnostic, or nullptr. */
-const char *
-openLoopOnlyKey(const Section &sec)
+/** The modes a section or key is valid in. A key's scope narrows its
+ * section's. */
+enum class Scope { Both, OpenLoop, ClosedLoop };
+using enum Scope;
+
+/** How often a key may appear in its section; a repeatable key is a
+ * list, e.g. a fault trace. */
+enum class Occurs { Optional, Required, Repeatable };
+using enum Occurs;
+
+/** One key of the grammar. The setter parses, range-checks and
+ * stores the value. */
+struct KeySpec
 {
-    static const std::set<std::string> open_only = {
-        "eus", "rho", "rate-per-sec", "shape", "burst-multiplier",
-        "burst-fraction", "burst-dwell-sec", "diurnal-depth",
-        "diurnal-period-sec", "diurnal-phase", "slo-factor",
-        "slo-cycles", "max-queue-depth", "seed",
-    };
-    for (const Entry &e : sec.entries)
-        if (open_only.count(e.key) > 0)
-            return e.key.c_str();
+    const char *key;
+    Scope scope;
+    void (*set)(const Field &f);
+    Occurs occurs = Optional;
+};
+
+// Each section's keys, in the order its "valid keys" list gives. A
+// new key is one row here.
+
+constexpr KeySpec kScenarioKeys[] = {
+    {"name", Both, [](auto &f) { f.s.name = f.e.value; }},
+    {"description", Both, [](auto &f) { f.s.description = f.e.value; }},
+};
+
+constexpr KeySpec kFleetKeys[] = {
+    {"mode", Both,
+     [](auto &f) {
+         f.s.mode = f.oneOf("modes", "open-loop", ScenarioMode::OpenLoop,
+                            "closed-loop", ScenarioMode::ClosedLoop);
+     }},
+    {"boards", OpenLoop, [](auto &f) { f.s.boards = f.positive(); }},
+    {"chips-per-board", OpenLoop,
+     [](auto &f) { f.s.board.numChips = f.positive(); }},
+    {"cores-per-chip", OpenLoop,
+     [](auto &f) { f.s.board.coresPerChip = f.positive(); }},
+    {"mes", Both, [](auto &f) { f.s.board.core.numMes = f.positive(); }},
+    {"ves", Both, [](auto &f) { f.s.board.core.numVes = f.positive(); }},
+    {"freq-hz", Both,
+     [](auto &f) { f.s.board.core.freqHz = f.positiveReal(); }},
+    {"sram-bytes", Both, [](auto &f) { f.s.board.core.sramBytes = f.u64(); }},
+    {"hbm-bytes", Both, [](auto &f) { f.s.board.core.hbmBytes = f.u64(); }},
+    {"hbm-bytes-per-sec", Both,
+     [](auto &f) { f.s.board.core.hbmBytesPerSec = f.positiveReal(); }},
+    {"placement", OpenLoop,
+     [](auto &f) { f.s.placement = f.named(placementFromName); }},
+    {"core-policy", Both,
+     [](auto &f) { f.s.corePolicy = f.named(policyFromName); }},
+    {"engine", Both, [](auto &f) { f.s.engine = f.named(engineFromName); }},
+    {"threads", OpenLoop, [](auto &f) { f.s.threads = f.u32(); }},
+    {"horizon", OpenLoop, [](auto &f) { f.s.horizon = f.cycles(); }},
+    {"smoke-horizon", OpenLoop,
+     [](auto &f) { f.s.smokeHorizon = f.cycles(); }},
+    {"max-cycles", Both, [](auto &f) { f.s.maxCycles = f.cycles(); }},
+    {"max-cycles-factor", OpenLoop,
+     [](auto &f) { f.s.maxCyclesFactor = f.positiveReal(); }},
+    {"seed", OpenLoop, [](auto &f) { f.s.seed = f.u64(); }},
+    {"tenant-order", Both,
+     [](auto &f) {
+         f.s.roundRobin =
+             f.oneOf("orders", "round-robin", true, "grouped", false);
+     }},
+    {"min-requests", ClosedLoop,
+     [](auto &f) { f.s.minRequests = f.positive(); }},
+    {"smoke-min-requests", ClosedLoop,
+     [](auto &f) { f.s.smokeMinRequests = f.positive(); }},
+};
+
+constexpr KeySpec kElasticKeys[] = {
+    {"epochs", Both, [](auto &f) { f.s.elastic.epochs = f.positive(); }},
+    {"imbalance-threshold", Both,
+     [](auto &f) {
+         f.s.elastic.imbalanceThreshold = f.real();
+         if (f.s.elastic.imbalanceThreshold < 0.0)
+             f.fail("imbalance-threshold must be >= 0");
+     }},
+    {"max-migrations-per-epoch", Both,
+     [](auto &f) { f.s.elastic.maxMigrationsPerEpoch = f.u32(); }},
+    {"migration-cost", Both,
+     [](auto &f) { f.s.elastic.migrationCostCycles = f.cycles(); }},
+    {"resize-on-migrate", Both,
+     [](auto &f) { f.s.elastic.resizeOnMigrate = f.flag(); }},
+    {"grow-factor", Both,
+     [](auto &f) {
+         f.s.elastic.growFactor = f.real();
+         if (f.s.elastic.growFactor < 1.0)
+             f.fail(csprintf("grow-factor=%s must be >= 1.0 (1.0 = "
+                             "never grow)", f.e.value.c_str()));
+     }},
+};
+
+constexpr KeySpec kResilienceKeys[] = {
+    {"failover", Both, [](auto &f) { f.s.failover = f.flag(); }},
+    {"recovery-stall", Both,
+     [](auto &f) { f.s.recoveryStallCycles = f.cycles(); }},
+};
+
+constexpr KeySpec kFaultsKeys[] = {
+    {"fault", Both,
+     [](auto &f) { f.s.faults.push_back(parseFaultLine(f.in, f.e)); },
+     Repeatable},
+};
+
+constexpr KeySpec kLlmKeys[] = {
+    {"scheduler", Both,
+     [](auto &f) {
+         f.s.llm.scheduler = f.oneOf(
+             "schedulers", "continuous", LlmScheduler::Continuous,
+             "static-batch", LlmScheduler::StaticBatch);
+     }},
+    {"page-tokens", Both, [](auto &f) { f.s.llm.pageTokens = f.positive(); }},
+    {"max-batch", Both, [](auto &f) { f.s.llm.maxBatch = f.positive(); }},
+    {"prompt-tokens", Both,
+     [](auto &f) { f.s.llm.promptTokens = f.positive(); }},
+    {"prompt-tokens-max", Both,
+     [](auto &f) { f.s.llm.promptTokensMax = f.positive(); }},
+    {"output-tokens", Both,
+     [](auto &f) { f.s.llm.outputTokens = f.positive(); }},
+    {"output-tokens-max", Both,
+     [](auto &f) { f.s.llm.outputTokensMax = f.positive(); }},
+};
+
+constexpr KeySpec kTraceKeys[] = {
+    {"enabled", Both, [](auto &f) { f.s.trace.enabled = f.flag(); }},
+    {"engine-events", Both,
+     [](auto &f) { f.s.trace.engineEvents = f.flag(); }},
+    {"metrics", Both, [](auto &f) { f.s.trace.metrics = f.flag(); }},
+    {"out", Both, [](auto &f) { f.s.traceOut = f.e.value; }},
+};
+
+constexpr KeySpec kTenantKeys[] = {
+    {"model", Both,
+     [](auto &f) { f.g().model = f.named(modelFromAbbrev); },
+     Required},
+    {"batch", Both, [](auto &f) { f.g().batch = f.positive(); }},
+    {"count", Both, [](auto &f) { f.g().count = f.positive(); }},
+    {"eus", OpenLoop, [](auto &f) { f.g().eus = f.positive(); }},
+    {"mes", ClosedLoop, [](auto &f) { f.g().nMes = f.positive(); }},
+    {"ves", ClosedLoop, [](auto &f) { f.g().nVes = f.positive(); }},
+    {"outstanding", ClosedLoop,
+     [](auto &f) { f.g().outstanding = f.positive(); }},
+    {"rho", OpenLoop, [](auto &f) { f.g().rho = f.positiveReal(); }},
+    {"rate-per-sec", OpenLoop,
+     [](auto &f) { f.g().ratePerSec = f.positiveReal(); }},
+    {"shape", OpenLoop,
+     [](auto &f) {
+         f.g().traffic.shape = f.named(trafficShapeFromName);
+         if (f.g().traffic.shape == TrafficShape::Trace)
+             f.fail("shape=trace needs an explicit arrival vector, "
+                    "which a scenario file cannot carry; use poisson, "
+                    "bursty or diurnal");
+     }},
+    {"burst-multiplier", OpenLoop,
+     [](auto &f) {
+         f.g().traffic.burstMultiplier = f.real();
+         if (f.g().traffic.burstMultiplier <= 1.0)
+             f.fail("burst-multiplier must be > 1");
+     }},
+    {"burst-fraction", OpenLoop,
+     [](auto &f) { f.g().traffic.burstFraction = f.fraction("(0, 1)"); }},
+    {"burst-dwell-sec", OpenLoop,
+     [](auto &f) { f.g().traffic.burstDwellSec = f.positiveReal(); }},
+    {"diurnal-depth", OpenLoop,
+     [](auto &f) { f.g().traffic.diurnalDepth = f.fraction("[0, 1]"); }},
+    {"diurnal-period-sec", OpenLoop,
+     [](auto &f) { f.g().traffic.diurnalPeriodSec = f.positiveReal(); }},
+    {"diurnal-phase", OpenLoop,
+     [](auto &f) { f.g().traffic.diurnalPhase = f.fraction("[0, 1)"); }},
+    {"slo-factor", OpenLoop,
+     [](auto &f) { f.g().sloFactor = f.positiveReal(); }},
+    {"slo-cycles", OpenLoop,
+     [](auto &f) {
+         f.g().sloCycles = f.cycles();
+         if (f.g().sloCycles <= 0.0)
+             f.fail("slo-cycles must be > 0 (or 'inf')");
+         f.g().hasSloCycles = true;
+     }},
+    {"max-queue-depth", OpenLoop,
+     [](auto &f) { f.g().maxQueueDepth = f.positive(); }},
+    {"priority", Both, [](auto &f) { f.g().priority = f.positiveReal(); }},
+    {"seed", OpenLoop,
+     [](auto &f) {
+         f.g().seed = f.u64();
+         f.g().hasSeed = true;
+     }},
+};
+
+struct SectionSpec
+{
+    /** A name ending in '.' is a prefix: "tenant." matches every
+     * [tenant.<name>] group. */
+    const char *name;
+    Scope scope;
+    std::span<const KeySpec> keys;
+    /** Format, given the section name, of the out-of-mode error. */
+    const char *scopeError = nullptr;
+    /** Why this section's mode-scoped keys belong to one mode. */
+    const char *keyNote = nullptr;
+    /** Checks across the section's keys, run once all are set. */
+    void (*finish)(const Interp &in, const Section &sec,
+                   Scenario &s) = nullptr;
+
+    bool isGroup() const { return name[std::strlen(name) - 1] == '.'; }
+};
+
+constexpr const char *kNoEpochsOrFaults =
+    "section [%s] is open-loop only; closed-loop scenarios drive one "
+    "core with no epochs or faults";
+
+/** Every section, in the order the "valid sections" list gives. */
+constexpr SectionSpec kSections[] = {
+    {"scenario", Both, kScenarioKeys},
+    {"fleet", Both, kFleetKeys, nullptr,
+     "closed-loop runs drive one core until min-requests; open-loop "
+     "runs drive a fleet for a horizon", finishFleet},
+    {"elastic", OpenLoop, kElasticKeys, kNoEpochsOrFaults},
+    {"resilience", OpenLoop, kResilienceKeys, kNoEpochsOrFaults},
+    {"faults", OpenLoop, kFaultsKeys, kNoEpochsOrFaults},
+    {"llm", OpenLoop, kLlmKeys,
+     "[%s] is open-loop only; token-level serving runs on the fleet "
+     "engine", nullptr, finishLlm},
+    {"trace", OpenLoop, kTraceKeys,
+     "section [%s] is open-loop only; closed-loop runs have no fleet "
+     "trace pipeline"},
+    {"tenant.", Both, kTenantKeys, nullptr,
+     "open-loop tenants size their vNPU from 'eus' and take arrivals; "
+     "closed-loop tenants pin 'mes' and 'ves' and resubmit",
+     finishTenant},
+};
+
+const SectionSpec *
+findSection(const std::string &name)
+{
+    for (const SectionSpec &spec : kSections)
+        if (spec.isGroup() ? name.rfind(spec.name, 0) == 0
+                           : name == spec.name)
+            return &spec;
     return nullptr;
 }
 
-void
-validateOpenLoop(const Interp &in, const Scenario &s,
-                 const std::vector<const Section *> &tenant_sections)
+/** The spec of @p sec; an unknown one fails, listing the valid. */
+const SectionSpec &
+sectionSpec(const Interp &in, const Section &sec)
 {
-    if (s.horizon <= 0.0)
-        in.fail(1, "open-loop scenarios require a positive [fleet] "
-                   "horizon");
-    for (size_t i = 0; i < s.groups.size(); ++i) {
-        const ScenarioTenantGroup &g = s.groups[i];
-        const Section &sec = *tenant_sections[i];
-        if (g.eus == 0)
-            in.fail(sec.line,
-                    csprintf("[%s] is missing the required 'eus' key "
-                             "(open-loop tenants buy an EU budget)",
-                             sec.name.c_str()));
-        if (g.rho <= 0.0 && g.ratePerSec <= 0.0)
-            in.fail(sec.line,
-                    csprintf("[%s] needs exactly one of 'rho' and "
-                             "'rate-per-sec'", sec.name.c_str()));
-        for (const Entry &e : sec.entries)
-            if (e.key == "mes" || e.key == "ves" ||
-                e.key == "outstanding")
-                in.fail(e.line,
-                        csprintf("key '%s' is closed-loop only; "
-                                 "open-loop tenants size their vNPU "
-                                 "from 'eus'", e.key.c_str()));
+    if (const SectionSpec *spec = findSection(sec.name))
+        return *spec;
+    std::string valid;
+    for (const SectionSpec &spec : kSections)
+        valid += csprintf("%s[%s%s]", valid.empty() ? "" : ", ",
+                          spec.name, spec.isGroup() ? "<name>" : "");
+    in.fail(sec.line, csprintf("unknown section [%s]; valid sections: "
+                               "%s", sec.name.c_str(), valid.c_str()));
+}
+
+/** The row of @p e; an unknown key fails, listing the section's. */
+const KeySpec &
+keySpec(const Interp &in, const SectionSpec &spec, const Section &sec,
+        const Entry &e)
+{
+    const auto k = std::ranges::find(spec.keys, e.key, &KeySpec::key);
+    if (k != spec.keys.end())
+        return *k;
+    std::string valid;
+    for (const KeySpec &k : spec.keys)
+        valid += csprintf("%s%s%s", valid.empty() ? "" : ", ", k.key,
+                          k.occurs == Repeatable
+                              ? " (repeatable)" : "");
+    in.fail(e.line, csprintf("unknown key '%s' in section [%s]; valid "
+                             "keys: %s", e.key.c_str(), sec.name.c_str(),
+                             valid.c_str()));
+}
+
+/** Lex the file into sections; all purely syntactic errors (missing
+ * '=', keys outside a section, duplicate sections/keys) fire here. */
+std::vector<Section>
+lexScenario(const std::string &text, const std::string &file)
+{
+    std::vector<Section> sections;
+    std::set<std::string> seen_sections;
+    std::set<std::string> seen_keys; // "section\nkey"
+
+    std::istringstream in(text);
+    std::string raw;
+    unsigned line = 0;
+    while (std::getline(in, raw)) {
+        ++line;
+        const size_t hash = raw.find('#');
+        if (hash != std::string::npos)
+            raw.erase(hash);
+        const std::string stripped = trim(raw);
+        if (stripped.empty())
+            continue;
+
+        if (stripped.front() == '[') {
+            if (stripped.back() != ']')
+                failAt(file, line,
+                       csprintf("malformed section header '%s'; want "
+                                "'[name]'", stripped.c_str()));
+            const std::string name =
+                trim(stripped.substr(1, stripped.size() - 2));
+            if (name.empty())
+                failAt(file, line, "empty section name '[]'");
+            if (!seen_sections.insert(name).second)
+                failAt(file, line,
+                       csprintf("duplicate section [%s]",
+                                name.c_str()));
+            sections.push_back(Section{name, line, {}});
+            continue;
+        }
+
+        const size_t eq = stripped.find('=');
+        if (eq == std::string::npos)
+            failAt(file, line,
+                   csprintf("expected 'key = value' or '[section]', "
+                            "got '%s'", stripped.c_str()));
+        const std::string key = trim(stripped.substr(0, eq));
+        const std::string value = trim(stripped.substr(eq + 1));
+        if (key.empty())
+            failAt(file, line, "missing key before '='");
+        if (value.empty())
+            failAt(file, line,
+                   csprintf("key '%s' has an empty value",
+                            key.c_str()));
+        if (sections.empty())
+            failAt(file, line,
+                   csprintf("key '%s' appears before any [section] "
+                            "header", key.c_str()));
+        // Only a repeatable key (a fault trace is a list) may appear
+        // twice; anything else set twice is a silent-override bug.
+        const SectionSpec *spec = findSection(sections.back().name);
+        const auto repeats = [&](const KeySpec &k) {
+            return k.key == key && k.occurs == Repeatable;
+        };
+        if (!spec || std::ranges::none_of(spec->keys, repeats)) {
+            const std::string id = sections.back().name + '\n' + key;
+            if (!seen_keys.insert(id).second)
+                failAt(file, line,
+                       csprintf("duplicate key '%s' in section [%s]",
+                                key.c_str(),
+                                sections.back().name.c_str()));
+        }
+        sections.back().entries.push_back(Entry{key, value, line});
+    }
+    return sections;
+}
+
+
+/** Everything that depends on the file's mode: every section's and
+ * key's scope, each mode's required keys, and fault references. */
+void
+validateMode(const Interp &in, const Scenario &s,
+             const std::vector<Section> &sections)
+{
+    const bool open = s.mode == ScenarioMode::OpenLoop;
+    const auto allowed = [open](Scope scope) {
+        return scope == Both || (scope == OpenLoop) == open;
+    };
+    for (const Section &sec : sections) {
+        const SectionSpec &spec = sectionSpec(in, sec);
+        if (!allowed(spec.scope))
+            in.fail(sec.line, csprintf(spec.scopeError,
+                                       sec.name.c_str()));
+        for (const Entry &e : sec.entries) {
+            const KeySpec &k = keySpec(in, spec, sec, e);
+            if (allowed(k.scope))
+                continue;
+            const std::string msg = csprintf(
+                "key '%s' is %s only; %s", e.key.c_str(),
+                k.scope == OpenLoop ? "open-loop" : "closed-loop",
+                spec.keyNote);
+            // A closed-loop file names the tenant group at its header.
+            if (spec.isGroup() && !open)
+                in.fail(sec.line, csprintf("[%s]: %s", sec.name.c_str(),
+                                           msg.c_str()));
+            in.fail(e.line, msg);
+        }
     }
 
+    if (open && s.horizon <= 0.0)
+        in.fail(1, "open-loop scenarios require a positive [fleet] horizon");
+    for (const ScenarioTenantGroup &g : s.groups) {
+        if (open && g.eus == 0)
+            in.fail(g.line,
+                    csprintf("[tenant.%s] is missing the required 'eus' "
+                             "key (open-loop tenants buy an EU budget)",
+                             g.name.c_str()));
+        if (open && g.rho <= 0.0 && g.ratePerSec <= 0.0)
+            in.fail(g.line,
+                    csprintf("[tenant.%s] needs exactly one of 'rho' and "
+                             "'rate-per-sec'", g.name.c_str()));
+        if (!open && (g.nMes == 0 || g.nVes == 0))
+            in.fail(g.line,
+                    csprintf("[tenant.%s] needs explicit 'mes' and 'ves' "
+                             "(closed-loop tenants pin their engine "
+                             "split)", g.name.c_str()));
+    }
+
+    // Only an open-loop file gets this far with [faults] lines.
     const unsigned total_cores = s.totalCores();
     for (const ScenarioFault &f : s.faults) {
         const bool board_scoped = f.kind == FaultKind::BoardLoss ||
@@ -772,47 +820,6 @@ validateOpenLoop(const Interp &in, const Scenario &s,
     }
 }
 
-void
-validateClosedLoop(const Interp &in, const Scenario &s,
-                   const std::vector<const Section *> &tenant_sections,
-                   const std::vector<Section> &sections)
-{
-    // Closed loop is the paper's single-core §V-A methodology: no
-    // fleet placement, no epochs, no faults, no open-loop traffic.
-    for (const Section &sec : sections) {
-        if (sec.name == "elastic" || sec.name == "resilience" ||
-            sec.name == "faults")
-            in.fail(sec.line,
-                    csprintf("section [%s] is open-loop only; "
-                             "closed-loop scenarios drive one core "
-                             "with no epochs or faults",
-                             sec.name.c_str()));
-        if (sec.name == "fleet") {
-            for (const Entry &e : sec.entries)
-                if (e.key == "boards" || e.key == "placement" ||
-                    e.key == "horizon" || e.key == "smoke-horizon")
-                    in.fail(e.line,
-                            csprintf("key '%s' is open-loop only; "
-                                     "closed-loop runs stop at "
-                                     "min-requests, not a horizon",
-                                     e.key.c_str()));
-        }
-    }
-    for (size_t i = 0; i < s.groups.size(); ++i) {
-        const ScenarioTenantGroup &g = s.groups[i];
-        const Section &sec = *tenant_sections[i];
-        if (const char *key = openLoopOnlyKey(sec))
-            in.fail(sec.line,
-                    csprintf("[%s]: key '%s' is open-loop only",
-                             sec.name.c_str(), key));
-        if (g.nMes == 0 || g.nVes == 0)
-            in.fail(sec.line,
-                    csprintf("[%s] needs explicit 'mes' and 'ves' "
-                             "(closed-loop tenants pin their engine "
-                             "split)", sec.name.c_str()));
-    }
-}
-
 } // namespace
 
 Scenario
@@ -823,69 +830,60 @@ parseScenario(const std::string &text, const std::string &filename)
 
     Scenario out;
     out.file = filename;
-
-    std::vector<const Section *> tenant_sections;
-    bool saw_scenario = false;
     for (const Section &sec : sections) {
-        if (sec.name == "scenario") {
-            interpScenarioSection(in, sec, out);
-            saw_scenario = true;
-        } else if (sec.name == "fleet") {
-            interpFleetSection(in, sec, out);
-        } else if (sec.name == "elastic") {
-            interpElasticSection(in, sec, out);
-        } else if (sec.name == "resilience") {
-            interpResilienceSection(in, sec, out);
-        } else if (sec.name == "faults") {
-            interpFaultsSection(in, sec, out);
-        } else if (sec.name == "llm") {
-            interpLlmSection(in, sec, out);
-        } else if (sec.name == "trace") {
-            interpTraceSection(in, sec, out);
-        } else if (sec.name.rfind("tenant.", 0) == 0) {
-            out.groups.push_back(interpTenantSection(in, sec));
-            tenant_sections.push_back(&sec);
-        } else {
-            in.fail(sec.line,
-                    csprintf("unknown section [%s]; valid sections: "
-                             "[scenario], [fleet], [elastic], "
-                             "[resilience], [faults], [llm], [trace], "
-                             "[tenant.<name>]", sec.name.c_str()));
+        const SectionSpec &spec = sectionSpec(in, sec);
+        if (spec.isGroup()) {
+            ScenarioTenantGroup &g = out.groups.emplace_back();
+            g.name = sec.name.substr(std::strlen(spec.name));
+            g.line = sec.line;
+            if (g.name.empty())
+                in.fail(sec.line, "empty tenant name; want [tenant.<name>]");
         }
+        for (const Entry &e : sec.entries)
+            keySpec(in, spec, sec, e).set(Field{in, e, out});
+        for (const KeySpec &k : spec.keys)
+            if (k.occurs == Required &&
+                std::ranges::find(sec.entries, k.key, &Entry::key) ==
+                    sec.entries.end())
+                in.fail(sec.line,
+                        csprintf("[%s] is missing the required '%s' "
+                                 "key", sec.name.c_str(), k.key));
+        if (spec.finish)
+            spec.finish(in, sec, out);
     }
 
-    if (!saw_scenario || out.name.empty())
+    if (out.name.empty())
         in.fail(1, "missing [scenario] section with a 'name' key");
     if (out.groups.empty())
         in.fail(1, "scenario declares no [tenant.<name>] sections");
+    unsigned long long tenants = 0; // counts reach 2^32 - 1 each
+    for (const ScenarioTenantGroup &g : out.groups) {
+        tenants += g.count;
+        if (tenants > kMaxTenants)
+            in.fail(g.line, csprintf("[tenant.%s] brings the total to "
+                                     "%llu tenants; at most %llu are "
+                                     "supported", g.name.c_str(),
+                                     tenants, kMaxTenants));
+    }
 
-    if (out.mode == ScenarioMode::OpenLoop)
-        validateOpenLoop(in, out, tenant_sections);
-    else
-        validateClosedLoop(in, out, tenant_sections, sections);
+    validateMode(in, out, sections);
 
     if (out.hasLlm) {
         // Token-level LLM serving rides the fleet engine and the
         // LLaMA phase model; anything else has no token semantics.
-        if (out.mode != ScenarioMode::OpenLoop)
-            in.fail(out.llmLine,
-                    "[llm] is open-loop only; token-level serving "
-                    "runs on the fleet engine");
         if (out.elastic.epochs != 1)
             in.fail(out.llmLine,
                     csprintf("[llm] requires [elastic] epochs = 1 "
                              "(got %u): half-decoded sequences cannot "
                              "carry across epoch boundaries",
                              out.elastic.epochs));
-        for (size_t i = 0; i < out.groups.size(); ++i) {
-            if (out.groups[i].model != ModelId::Llama)
-                in.fail(tenant_sections[i]->line,
-                        csprintf("[%s]: LLM serving requires model = "
-                                 "LLaMA (got %s)",
-                                 tenant_sections[i]->name.c_str(),
-                                 modelAbbrev(out.groups[i].model)
-                                     .c_str()));
-        }
+        for (const ScenarioTenantGroup &g : out.groups)
+            if (g.model != ModelId::Llama)
+                in.fail(g.line,
+                        csprintf("[tenant.%s]: LLM serving requires "
+                                 "model = LLaMA (got %s)",
+                                 g.name.c_str(),
+                                 modelAbbrev(g.model).c_str()));
     }
     return out;
 }

@@ -20,10 +20,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "scenario/runner.hh"
@@ -821,6 +827,40 @@ TEST(ScenarioErrors, ClosedLoopNeedsEngineSplit)
                 "'ves'");
 }
 
+TEST(ScenarioErrors, ClosedLoopRejectsEveryOpenLoopOnlyFleetKey)
+{
+    // A single-core closed-loop run has no host threads, stream seed,
+    // board topology or horizon-derived drain cap: none of these could
+    // have an effect.
+    for (const char *key : {"threads", "seed", "chips-per-board",
+                            "cores-per-chip", "max-cycles-factor"}) {
+        SCOPED_TRACE(key);
+        expectError(std::string("[scenario]\nname = t\n[fleet]\n"
+                                "mode = closed-loop\n") +
+                        key + " = 1\n[tenant.a]\nmodel = MNIST\n"
+                              "mes = 2\nves = 2\n",
+                    "test.scn:5: key '" + std::string(key) +
+                        "' is open-loop only");
+    }
+    expectError("[scenario]\nname = t\n[fleet]\nmode = closed-loop\n"
+                "[trace]\nenabled = on\n"
+                "[tenant.a]\nmodel = MNIST\nmes = 2\nves = 2\n",
+                "test.scn:5: section [trace] is open-loop only");
+}
+
+TEST(ScenarioErrors, OpenLoopRejectsEveryClosedLoopOnlyFleetKey)
+{
+    for (const char *key : {"min-requests", "smoke-min-requests"}) {
+        SCOPED_TRACE(key);
+        expectError(std::string("[scenario]\nname = t\n[fleet]\n"
+                                "horizon = 1e6\n") +
+                        key + " = 5\n[tenant.a]\nmodel = MNIST\n"
+                              "eus = 2\nrho = 0.5\n",
+                    "test.scn:5: key '" + std::string(key) +
+                        "' is closed-loop only");
+    }
+}
+
 // --------------------------------------------- fault-line negatives
 
 TEST(ScenarioErrors, FaultMalformedAttribute)
@@ -907,6 +947,46 @@ TEST(ScenarioErrors, FaultOnsetPastHorizon)
                 "[tenant.a]\nmodel = MNIST\neus = 2\nrho = 0.5\n",
                 "test.scn:6: fault onset at=2e+06 is past the "
                 "horizon 1e+06");
+}
+
+// --------------------------------------------- size-bound negatives
+
+TEST(ScenarioErrors, TenantTotalThatWouldWrapIsRejected)
+{
+    // Two groups of 2^31 sum to 2^32: 0 in a 32-bit total.
+    expectError("[scenario]\nname = t\n[fleet]\nhorizon = 1e6\n"
+                "[tenant.a]\nmodel = MNIST\ncount = 2147483648\n"
+                "eus = 2\nrho = 0.5\n"
+                "[tenant.b]\nmodel = MNIST\ncount = 2147483648\n"
+                "eus = 2\nrho = 0.5\n",
+                "test.scn:5: [tenant.a] brings the total to 2147483648 "
+                "tenants; at most 65536 are supported");
+    expectError("[scenario]\nname = t\n[fleet]\nhorizon = 1e6\n"
+                "[tenant.a]\nmodel = MNIST\ncount = 65536\n"
+                "eus = 2\nrho = 0.5\n"
+                "[tenant.b]\nmodel = MNIST\neus = 2\nrho = 0.5\n",
+                "test.scn:10: [tenant.b] brings the total to 65537 "
+                "tenants");
+}
+
+TEST(ScenarioErrors, CoreTotalThatWouldWrapIsRejected)
+{
+    // 65536 x 65536 x 1 cores wraps a 32-bit total to 0.
+    expectError("[scenario]\nname = t\n[fleet]\nhorizon = 1e6\n"
+                "boards = 65536\nchips-per-board = 65536\n"
+                "cores-per-chip = 1\n"
+                "[tenant.a]\nmodel = MNIST\neus = 2\nrho = 0.5\n",
+                "test.scn:3: boards x chips-per-board x cores-per-chip "
+                "exceeds 65536 cores");
+    expectError("[fleet]\nboards = 4294967295\nchips-per-board = "
+                "4294967295\ncores-per-chip = 4294967295\n",
+                "test.scn:1: boards x chips-per-board");
+    // The bound itself is allowed.
+    const Scenario s = parse("[scenario]\nname = t\n[fleet]\n"
+                             "horizon = 1e6\nboards = 16384\n"
+                             "[tenant.a]\nmodel = MNIST\neus = 2\n"
+                             "rho = 0.5\n");
+    EXPECT_EQ(s.totalCores(), 65536u);
 }
 
 // ------------------------------------------ file loading negatives
@@ -1071,6 +1151,51 @@ TEST(ScenarioExpand, OverflowingRhoFailsWithFileLine)
     }
 }
 
+TEST(ScenarioExpand, UnderflowingRhoFailsWithFileLine)
+{
+    // A near-zero HBM bandwidth makes the service estimate so long
+    // that rho x freq / service underflows to 0 arrivals per second:
+    // expansion must reject it, not hand the generator a zero rate.
+    const Scenario s = parse(
+        "[scenario]\nname = t\n[fleet]\nhorizon = 1e6\n"
+        "hbm-bytes-per-sec = 1e-300\n"
+        "[tenant.a]\nmodel = MNIST\neus = 2\nrho = 0.5\n");
+    try {
+        toFleetConfig(s);
+        ADD_FAILURE() << "expected FatalError for a 0/s arrival rate";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "test.scn:6: [tenant.a] rho=0.5 gives an arrival "
+                      "rate of 0/s"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST(ScenarioExpand, ArrivalTotalBeyondBoundFailsWithFileLine)
+{
+    // 1e12 arrivals per second over one second of horizon would ask
+    // the generators for ~1e12 stored stamps. Expansion only: nothing
+    // here may run the fleet.
+    const Scenario s = parse(
+        "[scenario]\nname = t\n[fleet]\nhorizon = 1e9\n"
+        "freq-hz = 1e9\n"
+        "[tenant.small]\nmodel = MNIST\neus = 2\nrate-per-sec = 10\n"
+        "[tenant.big]\nmodel = MNIST\neus = 2\n"
+        "rate-per-sec = 1e12\n");
+    try {
+        toFleetConfig(s);
+        ADD_FAILURE() << "expected FatalError for 1e12 arrivals";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "test.scn:10: the scenario expects 1e+12 "
+                      "arrivals over its horizon, most from "
+                      "[tenant.big]; at most 1e+08 fit in memory"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(ScenarioExpand, MaxCyclesFactorAndAbsolute)
 {
     Scenario s = parse(kMinimal);
@@ -1150,6 +1275,141 @@ TEST(ScenarioLibrary, EveryCommittedScenarioParses)
         ++n;
     }
     EXPECT_GE(n, 8u) << "the committed scenario library shrank";
+}
+
+// ------------------------------------------------ parser mutation
+
+/** splitmix64: a seeded stream with no dependence on the host's
+ * standard library (perfbench/workloads.py uses the same one). */
+class SplitMix64
+{
+  public:
+    explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
+
+    std::uint64_t
+    next()
+    {
+        std::uint64_t z = state_ += 0x9E3779B97F4A7C15ULL;
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+        return z ^ (z >> 31);
+    }
+
+    size_t below(size_t n) { return static_cast<size_t>(next() % n); }
+
+  private:
+    std::uint64_t state_;
+};
+
+/** One mutant of @p text: a byte replaced, a line deleted, duplicated
+ * or swapped, or a numeric value swapped for an edge value. */
+std::string
+mutate(const std::string &text, SplitMix64 &rng)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    std::vector<size_t> numeric; // lines whose value starts with a digit
+    for (size_t i = 0; i < lines.size(); ++i) {
+        const size_t eq = lines[i].find('=');
+        const size_t v = lines[i].find_first_not_of(' ', eq + 1);
+        if (eq != std::string::npos && v != std::string::npos &&
+            std::isdigit(static_cast<unsigned char>(lines[i][v])))
+            numeric.push_back(i);
+    }
+
+    static const char kBytes[] = "=[]#.-0123456789";
+    static const char *const kValues[] = {"0", "-1", "inf", "nan",
+                                          "1e308", "4294967296"};
+    const size_t n = lines.size();
+    switch (rng.below(5)) {
+      case 0: {
+        std::string out = text;
+        out[rng.below(out.size())] = kBytes[rng.below(sizeof(kBytes) - 1)];
+        return out;
+      }
+      case 1:
+        lines.erase(lines.begin() + static_cast<long>(rng.below(n)));
+        break;
+      case 2: {
+        const size_t i = rng.below(n);
+        lines.insert(lines.begin() + static_cast<long>(i), lines[i]);
+        break;
+      }
+      case 3:
+        std::swap(lines[rng.below(n)], lines[rng.below(n)]);
+        break;
+      default: {
+        if (numeric.empty())
+            break;
+        std::string &line = lines[numeric[rng.below(numeric.size())]];
+        line = line.substr(0, line.find('=') + 1) + " " +
+               kValues[rng.below(std::size(kValues))];
+        break;
+      }
+    }
+    std::string out;
+    for (const std::string &line : lines)
+        out += line + '\n';
+    return out;
+}
+
+TEST(ScenarioFuzz, MutantsParseOrFailWithFileLine)
+{
+    // Every mutant of a committed scenario must either parse and
+    // expand (to a config or a FatalError) or fail to parse with a
+    // "<file>:<line>:" diagnostic. A PanicError or a crash is a bug
+    // in the parser or the expansion. Nothing here runs a simulation.
+    namespace fs = std::filesystem;
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Silent);
+    SplitMix64 rng(0x5CE7A210);
+    unsigned parsed = 0, rejected = 0;
+    for (const auto &entry : fs::directory_iterator(NEU10_SCENARIO_DIR)) {
+        if (entry.path().extension() != ".scn")
+            continue;
+        const std::string path = entry.path().string();
+        std::ifstream file(path);
+        std::ostringstream text;
+        text << file.rdbuf();
+        for (unsigned m = 0; m < 300; ++m) {
+            const std::string mutant = mutate(text.str(), rng);
+            Scenario s;
+            try {
+                s = parseScenario(mutant, path);
+            } catch (const FatalError &err) {
+                const std::string what = err.what();
+                const size_t digits =
+                    what.rfind(path + ":", 0) == 0
+                        ? what.find_first_not_of("0123456789",
+                                                 path.size() + 1)
+                        : std::string::npos;
+                EXPECT_TRUE(digits != std::string::npos &&
+                            digits > path.size() + 1 &&
+                            what[digits] == ':')
+                    << "\"" << what << "\" lacks a file:line prefix for "
+                    << "mutant:\n" << mutant;
+                ++rejected;
+                continue;
+            }
+            ++parsed;
+            try {
+                if (s.mode == ScenarioMode::OpenLoop)
+                    toFleetConfig(s);
+                else
+                    toServingConfig(s);
+            } catch (const FatalError &) {
+            } catch (const PanicError &err) {
+                ADD_FAILURE() << "expansion panicked (" << err.what()
+                              << ") on mutant:\n" << mutant;
+            }
+        }
+    }
+    setLogLevel(level);
+    // Both outcomes must occur, or the mutants test nothing.
+    EXPECT_GT(parsed, 100u);
+    EXPECT_GT(rejected, 100u);
 }
 
 TEST(ScenarioJson, ControlCharactersInNamesAreEscaped)

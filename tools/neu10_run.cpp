@@ -17,7 +17,9 @@
  *   --seed=N          override the seed (beats file and env)
  *   --engine=NAME     event-driven | per-cycle
  *   --threads=N       host threads for per-core simulations
+ *                     (open loop only)
  *   --placement=NAME  first-fit | best-fit | load-balanced
+ *                     (open loop only)
  *   --core-policy=N   neu10 | neu10-nh | v10 | pmt
  *
  * Precedence: CLI > environment > scenario file. Exit 0 on success,
@@ -206,6 +208,16 @@ run(int argc, char **argv)
 
     Scenario s = loadScenarioFile(scenario_path);
     applyEnvOverrides(s);
+    // A closed-loop scenario drives one core: it has no host threads
+    // to size and no fleet to place tenants on.
+    if (s.mode == ScenarioMode::ClosedLoop) {
+        if (has_threads)
+            fatal("--threads is open-loop only; '%s' is a closed-loop "
+                  "scenario", scenario_path.c_str());
+        if (!placement_name.empty())
+            fatal("--placement is open-loop only; '%s' is a "
+                  "closed-loop scenario", scenario_path.c_str());
+    }
     // CLI overrides beat both the file and the environment.
     if (force_smoke)
         s.smoke = true;
@@ -231,22 +243,22 @@ run(int argc, char **argv)
     else
         printClosedLoop(s, o);
 
+    // Only an open-loop scenario can enable tracing (the parser
+    // rejects [trace] in closed loop; NEU10_TRACE skips it).
     if (s.trace.enabled) {
         const std::string path =
             s.traceOut.empty() ? s.name + ".trace.json" : s.traceOut;
-        if (s.mode == ScenarioMode::OpenLoop) {
-            if (!o.fleet.trace.writeChromeJson(path))
-                fatal("cannot write trace '%s'", path.c_str());
-            if (s.trace.metrics &&
-                !o.fleet.metrics.writeJson(path + ".metrics.json",
-                                           s.board.core.freqHz))
-                fatal("cannot write metrics '%s.metrics.json'",
-                      path.c_str());
-            std::printf("trace       %llu events -> %s\n",
-                        static_cast<unsigned long long>(
-                            o.fleet.trace.totalEvents()),
-                        path.c_str());
-        }
+        if (!o.fleet.trace.writeChromeJson(path))
+            fatal("cannot write trace '%s'", path.c_str());
+        if (s.trace.metrics &&
+            !o.fleet.metrics.writeJson(path + ".metrics.json",
+                                       s.board.core.freqHz))
+            fatal("cannot write metrics '%s.metrics.json'",
+                  path.c_str());
+        std::printf("trace       %llu events -> %s\n",
+                    static_cast<unsigned long long>(
+                        o.fleet.trace.totalEvents()),
+                    path.c_str());
     }
 
     if (!json_path.empty()) {
