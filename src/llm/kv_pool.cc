@@ -46,19 +46,29 @@ KvPool::ensureTokens(SeqId seq, std::uint64_t tokens)
 {
     lastGrowFailed_ = false;
     const std::uint32_t want = pagesFor(tokens);
-    const auto it = held_.find(seq);
-    const std::uint32_t have =
-        it == held_.end()
-            ? 0
-            : static_cast<std::uint32_t>(it->second.size());
-    if (want > have) {
-        const std::uint32_t need = want - have;
+    if (seq >= held_.size()) {
+        if (want == 0)
+            return 0;
+        held_.resize(seq + 1);
+        tokens_.resize(seq + 1);
+    }
+    std::vector<KvPageId> &list = held_[seq];
+    const auto have = static_cast<std::uint32_t>(list.size());
+    const std::uint64_t cur = have == 0 ? 0 : live(seq);
+    const std::uint32_t need = want > have ? want - have : 0;
+    if (need > 0) {
         if (need > freeList_.size()) {
             ++stats_.failedAllocs;
             lastGrowFailed_ = true;
             return 0;
         }
-        auto &list = (it == held_.end()) ? held_[seq] : it->second;
+        if (have == 0) {
+            ++holders_;
+            if (!spare_.empty()) {
+                list = std::move(spare_.back());
+                spare_.pop_back();
+            }
+        }
         for (std::uint32_t i = 0; i < need; ++i) {
             list.push_back(freeList_.back());
             freeList_.pop_back();
@@ -67,76 +77,66 @@ KvPool::ensureTokens(SeqId seq, std::uint64_t tokens)
         stats_.allocOps += need;
         stats_.highWaterPages =
             std::max(stats_.highWaterPages, stats_.usedPages);
-        auto &rec = tokens_[seq];
-        stats_.usedTokens += tokens - rec;
-        rec = tokens;
-        return need;
     }
-    // Already covered: only the live-token count moves.
-    if (tokens > 0 || it != held_.end()) {
-        auto &rec = tokens_[seq];
-        if (tokens > rec) {
-            stats_.usedTokens += tokens - rec;
-            rec = tokens;
-        }
+    // The live-token count only grows (growAll may already have
+    // moved it past @p tokens).
+    if (tokens > cur) {
+        stats_.usedTokens += tokens - cur;
+        tokens_[seq] = tokens - grown_;
     }
-    return 0;
+    return need;
+}
+
+void
+KvPool::growAll(std::uint64_t tokens)
+{
+    grown_ += tokens;
+    stats_.usedTokens += tokens * holders_;
 }
 
 std::uint32_t
 KvPool::release(SeqId seq)
 {
-    const auto it = held_.find(seq);
-    if (it == held_.end())
+    if (!isHolder(seq))
         return 0;
-    const std::uint32_t freed =
-        static_cast<std::uint32_t>(it->second.size());
+    std::vector<KvPageId> &list = held_[seq];
+    const auto freed = static_cast<std::uint32_t>(list.size());
     // Return pages in reverse allocation order so the LIFO free list
     // hands them back in the order they were taken.
-    for (auto rit = it->second.rbegin(); rit != it->second.rend();
-         ++rit)
+    for (auto rit = list.rbegin(); rit != list.rend(); ++rit)
         freeList_.push_back(*rit);
-    held_.erase(it);
-    const auto tit = tokens_.find(seq);
-    if (tit != tokens_.end()) {
-        stats_.usedTokens -= tit->second;
-        tokens_.erase(tit);
-    }
+    // The emptied list's storage goes to the next new holder, so
+    // page lists stop reallocating once the pool has warmed up and
+    // memory stays bounded by the peak holder count.
+    list.clear();
+    spare_.push_back(std::move(list));
+    stats_.usedTokens -= live(seq);
+    --holders_;
     stats_.usedPages -= freed;
     stats_.freeOps += freed;
     return freed;
 }
 
-std::uint32_t
-KvPool::pagesHeld(SeqId seq) const
-{
-    const auto it = held_.find(seq);
-    return it == held_.end()
-               ? 0
-               : static_cast<std::uint32_t>(it->second.size());
-}
-
 std::uint64_t
 KvPool::tokensHeld(SeqId seq) const
 {
-    const auto it = tokens_.find(seq);
-    return it == tokens_.end() ? 0 : it->second;
+    return isHolder(seq) ? live(seq) : 0;
 }
 
 const std::vector<KvPageId> *
 KvPool::pages(SeqId seq) const
 {
-    const auto it = held_.find(seq);
-    return it == held_.end() ? nullptr : &it->second;
+    return isHolder(seq) ? &held_[seq] : nullptr;
 }
 
 std::vector<SeqId>
 KvPool::holders() const
 {
     std::vector<SeqId> out;
-    out.reserve(held_.size());
-    for (const auto &[seq, list] : held_)
-        out.push_back(seq);
+    out.reserve(holders_);
+    for (SeqId seq = 0; seq < held_.size(); ++seq)
+        if (!held_[seq].empty())
+            out.push_back(seq);
     return out;
 }
 
@@ -145,16 +145,16 @@ KvPool::snapshot() const
 {
     Snapshot snap;
     snap.pageTokens = pageTokens_;
-    snap.seqTokens.reserve(tokens_.size());
-    for (const auto &[seq, toks] : tokens_)
-        snap.seqTokens.emplace_back(seq, toks);
+    snap.seqTokens.reserve(holders_);
+    for (SeqId seq : holders())
+        snap.seqTokens.emplace_back(seq, live(seq));
     return snap;
 }
 
 void
 KvPool::restore(const Snapshot &snap)
 {
-    if (stats_.usedPages != 0 || !held_.empty())
+    if (stats_.usedPages != 0 || holders_ != 0)
         fatal("KvPool::restore: target pool is not empty "
               "(%u pages in use)", stats_.usedPages);
     if (snap.pageTokens != pageTokens_)
@@ -172,9 +172,15 @@ KvPool::restore(const Snapshot &snap)
 void
 KvPool::audit() const
 {
-    std::uint64_t held = 0;
-    for (const auto &[seq, list] : held_)
+    std::uint64_t held = 0, nonEmpty = 0;
+    for (const std::vector<KvPageId> &list : held_) {
         held += list.size();
+        nonEmpty += list.empty() ? 0 : 1;
+    }
+    if (nonEmpty != holders_)
+        fatal("KvPool::audit: %llu page lists are non-empty but "
+              "the holder count says %u",
+              static_cast<unsigned long long>(nonEmpty), holders_);
     if (held != stats_.usedPages)
         fatal("KvPool::audit: page lists hold %llu pages but "
               "usedPages says %u",
@@ -195,19 +201,25 @@ KvPool::audit() const
     };
     for (KvPageId id : freeList_)
         mark(id);
-    for (const auto &[seq, list] : held_) {
+    std::uint64_t tokens = 0;
+    for (SeqId seq : holders()) {
+        const std::vector<KvPageId> &list = held_[seq];
         for (KvPageId id : list)
             mark(id);
         // Holder list must cover its live tokens exactly.
-        const auto tit = tokens_.find(seq);
-        const std::uint64_t toks =
-            tit == tokens_.end() ? 0 : tit->second;
+        const std::uint64_t toks = live(seq);
+        tokens += toks;
         if (pagesFor(toks) > list.size())
             fatal("KvPool::audit: seq %llu holds %zu pages for "
                   "%llu tokens",
                   static_cast<unsigned long long>(seq), list.size(),
                   static_cast<unsigned long long>(toks));
     }
+    if (tokens != stats_.usedTokens)
+        fatal("KvPool::audit: holders carry %llu live tokens but "
+              "usedTokens says %llu",
+              static_cast<unsigned long long>(tokens),
+              static_cast<unsigned long long>(stats_.usedTokens));
 }
 
 } // namespace llm

@@ -9,8 +9,19 @@
  * grows as it decodes and is returned wholesale when it completes or
  * is preempted. All accounting is integral (page and token counts),
  * so results are bit-exact by construction; the free list is a LIFO
- * stack and per-sequence state lives in ordered maps, so identical
- * call sequences yield identical pools at any host thread width.
+ * stack and per-sequence state lives in dense tables scanned in
+ * index order, so identical call sequences yield identical pools at
+ * any host thread width.
+ *
+ * Dense-SeqId contract: a SeqId is an index into those tables, so
+ * callers number their sequences 0, 1, 2, ... (an endpoint uses its
+ * sequence-table index). Memory grows with the largest SeqId seen,
+ * not with the number of holders; lookups are O(1).
+ *
+ * Decode grows every running sequence by one token per iteration,
+ * but a page list only changes once every pageTokens tokens. growAll
+ * records that lockstep growth for every holder in O(1); the caller
+ * calls ensureTokens only for the holders that cross a page boundary.
  *
  * The §III-B residency check happens upstream: sizeVnpuForModel
  * reserves HBM for weights + per-sequence state, and
@@ -22,7 +33,6 @@
 #define NEU10_LLM_KV_POOL_HH
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -94,6 +104,16 @@ class KvPool
      */
     std::uint32_t ensureTokens(SeqId seq, std::uint64_t tokens);
 
+    /**
+     * Add @p tokens live tokens to every holder at once: the lockstep
+     * growth of one decode iteration (or several) across a batch in
+     * which every holder decodes. O(1), never allocates. A holder
+     * this pushes past its last page must be grown with
+     * ensureTokens() (which then only allocates) before the next
+     * audit() or snapshot().
+     */
+    void growAll(std::uint64_t tokens);
+
     /** True iff the previous ensureTokens() call was refused. */
     bool lastGrowFailed() const { return lastGrowFailed_; }
 
@@ -101,7 +121,13 @@ class KvPool
     std::uint32_t release(SeqId seq);
 
     /** Pages currently held by @p seq (0 if unknown). */
-    std::uint32_t pagesHeld(SeqId seq) const;
+    std::uint32_t
+    pagesHeld(SeqId seq) const
+    {
+        return seq < held_.size()
+                   ? static_cast<std::uint32_t>(held_[seq].size())
+                   : 0;
+    }
 
     /** Live tokens recorded for @p seq (0 if unknown). */
     std::uint64_t tokensHeld(SeqId seq) const;
@@ -109,7 +135,8 @@ class KvPool
     /** @p seq's page list in allocation order; nullptr if unknown. */
     const std::vector<KvPageId> *pages(SeqId seq) const;
 
-    /** Holders in ascending SeqId order (deterministic iteration). */
+    /** Holders (sequences with a non-empty page list) in ascending
+     * SeqId order (deterministic iteration). */
     std::vector<SeqId> holders() const;
 
     /**
@@ -142,12 +169,28 @@ class KvPool
     void audit() const;
 
   private:
+    bool
+    isHolder(SeqId seq) const
+    {
+        return seq < held_.size() && !held_[seq].empty();
+    }
+
+    /** Live tokens of holder @p seq. */
+    std::uint64_t live(SeqId seq) const { return tokens_[seq] + grown_; }
+
     std::uint32_t pageTokens_;
     std::vector<KvPageId> freeList_; // LIFO: pop_back to allocate
-    // Ordered maps: holder iteration order must not depend on
-    // hashing (determinism contract).
-    std::map<SeqId, std::vector<KvPageId>> held_;
-    std::map<SeqId, std::uint64_t> tokens_;
+    // Dense tables indexed by SeqId: iteration is in SeqId order by
+    // construction (determinism contract). An entry whose page list
+    // is empty is not a holder; its token slot is meaningless.
+    std::vector<std::vector<KvPageId>> held_;
+    // Live tokens minus grown_ at the time they were recorded
+    // (modulo 2^64), so growAll() moves every holder at once.
+    std::vector<std::uint64_t> tokens_;
+    // Storage of released page lists (empty, capacity kept).
+    std::vector<std::vector<KvPageId>> spare_;
+    std::uint64_t grown_ = 0;   ///< Σ growAll() arguments
+    std::uint32_t holders_ = 0; ///< sequences with pages
     KvPoolStats stats_;
     bool lastGrowFailed_ = false;
 };

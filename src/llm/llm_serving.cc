@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -149,6 +150,8 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
     std::deque<std::uint32_t> waiting;
     std::vector<std::uint32_t> running;
     std::vector<std::uint32_t> staticDone; // finished, pages held
+    // A window's page crossings: iteration << 32 | batch position.
+    std::vector<std::uint64_t> crossings;
     bool stopped = false;
     std::uint64_t spanSeq = 0; // async-span id counter
     const std::uint64_t idBase =
@@ -269,7 +272,7 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         return victim == needy;
     };
 
-    // --- main loop: one decode iteration per pass ------------------
+    // --- main loop: one window of decode iterations per pass -------
     while (true) {
         deliver();
         if (continuous)
@@ -297,69 +300,144 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
             continue;
         }
 
-        // Grow every running sequence's page list by one token,
-        // evicting the youngest under page pressure.
+        // This iteration's growth: every running sequence gains a
+        // token. In continuous mode the holders are exactly the
+        // running batch, so one growAll records it; a static batch
+        // reserved its whole output at admission and records
+        // nothing. Only a sequence crossing a page boundary calls
+        // the pool, evicting the youngest under page pressure. The
+        // same pass sums the live context, bounds the window by the
+        // next completion and notes each sequence's next crossing.
+        if (continuous)
+            pool.growAll(1);
+        const std::uint64_t pageTokens = pool.pageTokens();
+        std::uint64_t ctx = 0;
+        std::uint64_t windowSteps = std::numeric_limits<std::uint64_t>::max();
+        crossings.clear();
         std::size_t k = 0;
         while (k < running.size()) {
             const std::uint32_t idx = running[k];
             const Seq &s = seqs[idx];
-            const std::uint64_t need =
-                static_cast<std::uint64_t>(s.prompt) + s.generated +
-                1;
-            bool evictedSelf = false;
-            tracePageAlloc(pool.ensureTokens(idx, need));
-            while (pool.lastGrowFailed()) {
-                if (running.size() == 1)
-                    fatal("llm: tenant %u: lone sequence of %llu "
-                          "tokens starved for pages",
-                          tenant,
-                          static_cast<unsigned long long>(need));
-                evictedSelf = preemptYoungest(idx);
+            const std::uint64_t live =
+                static_cast<std::uint64_t>(s.prompt) + s.generated;
+            if (live + 1 > pool.pagesHeld(idx) * pageTokens) {
+                bool evictedSelf = false;
+                tracePageAlloc(pool.ensureTokens(idx, live + 1));
+                while (pool.lastGrowFailed()) {
+                    if (running.size() == 1)
+                        fatal("llm: tenant %u: lone sequence of %llu "
+                              "tokens starved for pages",
+                              tenant,
+                              static_cast<unsigned long long>(live + 1));
+                    evictedSelf = preemptYoungest(idx);
+                    if (evictedSelf)
+                        break;
+                    tracePageAlloc(pool.ensureTokens(idx, live + 1));
+                }
                 if (evictedSelf)
-                    break;
-                tracePageAlloc(pool.ensureTokens(idx, need));
+                    continue;
             }
-            if (!evictedSelf)
-                ++k;
+            ctx += live;
+            windowSteps = std::min<std::uint64_t>(
+                windowSteps, s.output - s.generated);
+            // Iteration j of the window needs live + j tokens, so the
+            // sequence next crosses at j = capacity - live + 1.
+            const std::uint64_t cross =
+                pool.pagesHeld(idx) * pageTokens - live + 1;
+            crossings.push_back(cross << 32 | k);
+            ++k;
         }
         if (running.empty())
             continue;
+        // A page-gated head retries (and is refused) at the top of
+        // every iteration: run one iteration at a time while it waits.
+        if (continuous && running.size() < ep.maxBatch &&
+            !waiting.empty())
+            windowSteps = 1;
 
-        // Price and run the iteration: every live context is read,
-        // all weights re-stream, one token per sequence comes out.
-        std::uint64_t ctx = 0;
-        for (std::uint32_t idx : running)
-            ctx += static_cast<std::uint64_t>(seqs[idx].prompt) +
-                   seqs[idx].generated;
-        const Cycles cost =
-            decodeStepCycles(spec, running.size(), ctx, config.core,
-                             ts.nMes, ep.bwShare);
-        if (t + cost > stop) {
-            stopped = true;
-            break;
+        // The window's page crossings, in the order the per-iteration
+        // growth would meet them (iteration, then batch position).
+        // Each takes one page and nothing frees one before the window
+        // ends, so the window stops short of the first crossing the
+        // free list cannot cover: that iteration evicts.
+        const std::size_t firsts = crossings.size();
+        for (std::size_t i = 0; i < firsts; ++i) {
+            const std::uint64_t pos = crossings[i] & 0xffffffffu;
+            for (std::uint64_t at = crossings[i] >> 32; at <= windowSteps;
+                 at += pageTokens)
+                crossings.push_back(at << 32 | pos);
         }
-        const Cycles begin = t;
-        advance(t + cost);
-        decodeBusy += cost;
-        bytes += static_cast<double>(decodeStepBytes(spec, ctx));
-        ++tr.llm.decodeIterations;
-        trace.asyncSpan(idBase + ++spanSeq, begin, t, "llm",
-                        "decode", "batch",
-                        static_cast<double>(running.size()), "ctx",
-                        static_cast<double>(ctx));
+        crossings.erase(crossings.begin(),
+                        crossings.begin() +
+                            static_cast<std::ptrdiff_t>(firsts));
+        std::sort(crossings.begin(), crossings.end());
+        if (crossings.size() > pool.freePages())
+            windowSteps = (crossings[pool.freePages()] >> 32) - 1;
 
-        // Advance the whole batch one token; retire completions.
-        std::vector<std::uint32_t> still;
-        still.reserve(running.size());
-        for (std::uint32_t idx : running) {
-            Seq &s = seqs[idx];
-            ++s.generated;
-            ++tr.llm.tokensGenerated;
-            if (!s.sawFirstToken) {
-                s.sawFirstToken = true;
-                tr.llm.ttftCycles.add(t - s.stamp);
+        // Run the window with the batch fixed: every live context is
+        // read, all weights re-stream, one token per sequence comes
+        // out. An iteration joins the window only when the top of
+        // the loop would have had nothing to do before its growth
+        // (no arrival due); it costs O(1) plus its page crossings.
+        const std::uint64_t batch = running.size();
+        std::uint64_t steps = 0;
+        std::size_t nextCross = 0;
+        Cycles firstTokenAt = 0.0;
+        while (true) {
+            const Cycles cost = decodeStepCycles(
+                spec, batch, ctx, config.core, ts.nMes, ep.bwShare);
+            if (t + cost > stop) {
+                stopped = true;
+                break;
             }
-            if (s.generated >= s.output) {
+            const Cycles begin = t;
+            advance(t + cost);
+            decodeBusy += cost;
+            bytes += static_cast<double>(decodeStepBytes(spec, ctx));
+            trace.asyncSpan(idBase + ++spanSeq, begin, t, "llm",
+                            "decode", "batch",
+                            static_cast<double>(batch), "ctx",
+                            static_cast<double>(ctx));
+            if (++steps == 1)
+                firstTokenAt = t;
+            ctx += batch;
+            if (steps == windowSteps ||
+                (next < seqs.size() && seqs[next].stamp <= t))
+                break;
+            if (continuous)
+                pool.growAll(1);
+            for (; nextCross < crossings.size() &&
+                   (crossings[nextCross] >> 32) == steps + 1;
+                 ++nextCross) {
+                const std::uint32_t idx =
+                    running[crossings[nextCross] & 0xffffffffu];
+                const Seq &s = seqs[idx];
+                tracePageAlloc(pool.ensureTokens(
+                    idx, static_cast<std::uint64_t>(s.prompt) +
+                             s.generated + steps + 1));
+                NEU10_ASSERT(!pool.lastGrowFailed(),
+                             "window crossing refused");
+            }
+        }
+
+        // Credit the window's tokens to the batch; first tokens came
+        // out of its first iteration, completions out of its last.
+        tr.llm.decodeIterations += steps;
+        tr.llm.tokensGenerated += steps * batch;
+        if (steps > 0) {
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < running.size(); ++i) {
+                const std::uint32_t idx = running[i];
+                Seq &s = seqs[idx];
+                s.generated += static_cast<std::uint32_t>(steps);
+                if (!s.sawFirstToken) {
+                    s.sawFirstToken = true;
+                    tr.llm.ttftCycles.add(firstTokenAt - s.stamp);
+                }
+                if (s.generated < s.output) {
+                    running[kept++] = idx;
+                    continue;
+                }
                 const Cycles latency = t - s.stamp;
                 ++tr.completed;
                 tr.latencyCycles.add(latency);
@@ -372,11 +450,11 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
                 } else {
                     staticDone.push_back(idx); // held to batch end
                 }
-            } else {
-                still.push_back(idx);
             }
+            running.resize(kept);
         }
-        running.swap(still);
+        if (stopped)
+            break;
         if (!continuous && running.empty()) {
             // The naive baseline returns its worst-case reservation
             // only once the whole batch has drained.

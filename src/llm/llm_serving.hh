@@ -6,12 +6,26 @@
  *
  * Requests are *sequences*: a prompt of P tokens prefilled in one
  * pass, then one token per decode iteration until the sequence's
- * output length is reached. The endpoint advances in iteration
- * steps: each iteration grows every running sequence's KV page list
- * by one token's worth (llm/kv_pool.hh), prices the step with the
- * analytic roofline (llm/phase_model.hh — decode re-streams all
- * weights plus the live KV every iteration) and advances the whole
- * running batch together.
+ * output length is reached. Each iteration adds one live token to
+ * every running sequence, prices the step with the analytic roofline
+ * (llm/phase_model.hh — decode re-streams all weights plus the live
+ * KV every iteration) and advances the whole running batch together.
+ *
+ * Page-boundary growth: the KV pool (llm/kv_pool.hh) records the
+ * batch's new tokens with one growAll per iteration; a sequence
+ * calls the pool only when its next token does not fit its last
+ * page (once every page-tokens iterations), which is also the only
+ * point where a grow can be refused and force a preemption.
+ *
+ * Decode run-ahead: while the batch is fixed — no arrival due, no
+ * completion, no page-gated head waiting to retry, and every page
+ * crossing covered by free pages — the endpoint runs a window of
+ * iterations in one tight loop: per iteration the step cost, the
+ * occupancy integrals, the trace span and any page crossings, in the
+ * same order as one iteration at a time (so every floating-point sum
+ * is bit-identical); token counts, contexts and completions are
+ * settled at the window's end. An iteration thus costs O(1) host
+ * work plus its page crossings, not O(batch).
  *
  * Schedulers (LlmParams::scheduler):
  *

@@ -30,7 +30,6 @@ Trace::append(int track, const TraceBuffer &buf, Cycles offset,
     if (buf.empty())
         return;
     std::vector<TraceEvent> &dst = tracks_[track];
-    dst.reserve(dst.size() + buf.size());
     for (TraceEvent ev : buf.events()) {
         ev.at += offset;
         if (ev.id != 0)

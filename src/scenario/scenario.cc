@@ -280,6 +280,12 @@ parseFaultLine(const Interp &in, const Entry &e)
     return f;
 }
 
+/** Engines per core (`mes`, `ves`) above this are rejected at parse
+ * time: the largest committed core has 8 of each, and the core
+ * simulator's per-event work grows with the engine count, so a typo
+ * like 100000 would turn a smoke run into an apparent hang. */
+constexpr unsigned kMaxEngines = 256;
+
 /** A setter's view of one `key = value` line: the Interp parsers
  * applied to it, and the scenario it writes. */
 struct Field
@@ -297,6 +303,32 @@ struct Field
     Cycles cycles() const { return in.cycles(e); }
 
     [[noreturn]] void fail(const std::string &m) const { in.fail(e.line, m); }
+
+    /** An engine count: 1 to kMaxEngines. */
+    unsigned
+    engines() const
+    {
+        const unsigned v = positive();
+        if (v > kMaxEngines)
+            fail(csprintf("%s=%u exceeds %u engines per core",
+                          e.key.c_str(), v, kMaxEngines));
+        return v;
+    }
+
+    /** A memory size of at least one @p segment-byte segment (the
+     * vNPU allocator carves memory in whole segments). */
+    std::uint64_t
+    segments(std::uint64_t segment, const char *what) const
+    {
+        const std::uint64_t v = u64();
+        if (v < segment)
+            fail(csprintf("%s=%llu is below one %llu-byte %s segment",
+                          e.key.c_str(),
+                          static_cast<unsigned long long>(v),
+                          static_cast<unsigned long long>(segment),
+                          what));
+        return v;
+    }
 
     /** The group of the key's [tenant.<name>] section. */
     ScenarioTenantGroup &g() const { return s.groups.back(); }
@@ -436,12 +468,20 @@ constexpr KeySpec kFleetKeys[] = {
      [](auto &f) { f.s.board.numChips = f.positive(); }},
     {"cores-per-chip", OpenLoop,
      [](auto &f) { f.s.board.coresPerChip = f.positive(); }},
-    {"mes", Both, [](auto &f) { f.s.board.core.numMes = f.positive(); }},
-    {"ves", Both, [](auto &f) { f.s.board.core.numVes = f.positive(); }},
+    {"mes", Both, [](auto &f) { f.s.board.core.numMes = f.engines(); }},
+    {"ves", Both, [](auto &f) { f.s.board.core.numVes = f.engines(); }},
     {"freq-hz", Both,
      [](auto &f) { f.s.board.core.freqHz = f.positiveReal(); }},
-    {"sram-bytes", Both, [](auto &f) { f.s.board.core.sramBytes = f.u64(); }},
-    {"hbm-bytes", Both, [](auto &f) { f.s.board.core.hbmBytes = f.u64(); }},
+    {"sram-bytes", Both,
+     [](auto &f) {
+         f.s.board.core.sramBytes =
+             f.segments(f.s.board.core.sramSegment, "SRAM");
+     }},
+    {"hbm-bytes", Both,
+     [](auto &f) {
+         f.s.board.core.hbmBytes =
+             f.segments(f.s.board.core.hbmSegment, "HBM");
+     }},
     {"hbm-bytes-per-sec", Both,
      [](auto &f) { f.s.board.core.hbmBytesPerSec = f.positiveReal(); }},
     {"placement", OpenLoop,
@@ -537,8 +577,8 @@ constexpr KeySpec kTenantKeys[] = {
     {"batch", Both, [](auto &f) { f.g().batch = f.positive(); }},
     {"count", Both, [](auto &f) { f.g().count = f.positive(); }},
     {"eus", OpenLoop, [](auto &f) { f.g().eus = f.positive(); }},
-    {"mes", ClosedLoop, [](auto &f) { f.g().nMes = f.positive(); }},
-    {"ves", ClosedLoop, [](auto &f) { f.g().nVes = f.positive(); }},
+    {"mes", ClosedLoop, [](auto &f) { f.g().nMes = f.engines(); }},
+    {"ves", ClosedLoop, [](auto &f) { f.g().nVes = f.engines(); }},
     {"outstanding", ClosedLoop,
      [](auto &f) { f.g().outstanding = f.positive(); }},
     {"rho", OpenLoop, [](auto &f) { f.g().rho = f.positiveReal(); }},

@@ -8,12 +8,19 @@
  * serving through the fleet: continuous batching must beat the
  * static-batch baseline at equal HBM, preemption and fault-injected
  * board loss must conserve both requests and pages, and everything
- * must be bit-identical across engines and host thread widths.
+ * must be bit-identical across engines and host thread widths. A
+ * seeded corpus of small endpoints pins every result bit and trace
+ * event to the one-iteration-at-a-time decode loop the windowed loop
+ * replaced.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "cluster/fleet.hh"
 #include "common/logging.hh"
@@ -21,6 +28,7 @@
 #include "llm/llm_serving.hh"
 #include "llm/phase_model.hh"
 #include "models/zoo.hh"
+#include "obs/trace.hh"
 #include "resilience/faults.hh"
 #include "vnpu/allocator.hh"
 
@@ -205,6 +213,37 @@ TEST(KvPool, RestoreRefusalsAreFatal)
 
     KvPool wrong_page(16, 32);
     EXPECT_THROW(wrong_page.restore(snap), FatalError);
+}
+
+TEST(KvPool, GrowAllMovesEveryHolderAtOnce)
+{
+    KvPool pool(8, 16);
+    pool.ensureTokens(0, 15); // 1 page, 1 token of room
+    pool.ensureTokens(2, 20); // 2 pages, 12 tokens of room
+    pool.growAll(1);
+    EXPECT_EQ(pool.tokensHeld(0), 16u);
+    EXPECT_EQ(pool.tokensHeld(1), 0u); // not a holder
+    EXPECT_EQ(pool.tokensHeld(2), 21u);
+    EXPECT_EQ(pool.stats().usedTokens, 37u);
+    pool.audit();
+    // Seq 0 crosses its page boundary: ensureTokens then only
+    // allocates, the token count growAll recorded stays.
+    pool.growAll(1);
+    EXPECT_EQ(pool.ensureTokens(0, 17), 1u);
+    EXPECT_EQ(pool.tokensHeld(0), 17u);
+    EXPECT_EQ(pool.stats().usedTokens, 39u);
+    pool.audit();
+    // A holder that joins later starts from its own count.
+    pool.ensureTokens(1, 5);
+    pool.growAll(2);
+    EXPECT_EQ(pool.tokensHeld(1), 7u);
+    const KvPool::Snapshot snap = pool.snapshot();
+    ASSERT_EQ(snap.seqTokens.size(), 3u);
+    EXPECT_EQ(snap.seqTokens[2].second, 24u);
+    EXPECT_EQ(pool.stats().usedTokens, 19u + 7u + 24u);
+    pool.release(2);
+    EXPECT_EQ(pool.stats().usedTokens, 26u);
+    pool.audit();
 }
 
 // ------------------------------------------------- §III-B sizing
@@ -512,6 +551,280 @@ TEST(LlmServing, BoardLossConservesPagesAndRequests)
     // Fault runs are as deterministic as clean ones.
     const auto again = runFleet(cfg);
     expectFleetEq(r, again);
+}
+
+/** FNV-1a over 64-bit words (doubles by bit pattern). */
+struct Digest
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+
+    void
+    add(const char *s)
+    {
+        for (; *s != '\0'; ++s) {
+            h ^= static_cast<unsigned char>(*s);
+            h *= 0x100000001b3ull;
+        }
+        add(std::uint64_t{0});
+    }
+
+    void
+    add(const Distribution &d)
+    {
+        add(static_cast<std::uint64_t>(d.count()));
+        for (double v : d.samples())
+            add(v);
+        add(d.sum());
+    }
+};
+
+/** splitmix64: the corpus's own stream, independent of common/random. */
+struct SplitMix
+{
+    std::uint64_t s;
+
+    std::uint64_t
+    next()
+    {
+        std::uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+
+    /** Uniform in [lo, hi]. */
+    std::uint64_t
+    in(std::uint64_t lo, std::uint64_t hi)
+    {
+        return lo + next() % (hi - lo + 1);
+    }
+
+    /** Uniform in [0, 1). */
+    double unit() { return static_cast<double>(next() >> 11) * 0x1p-53; }
+};
+
+/**
+ * One seeded small LLM serving config: 1-3 endpoints, either
+ * scheduler, 1-32-token pages, batch caps of 1-12, short prompts and
+ * outputs, pools from one sequence's worth of pages up, queue depths
+ * that reject, carried backlog, a start offset, and a run that
+ * drains, stops at an epoch boundary or hits the time cap.
+ */
+ServingConfig
+corpusConfig(unsigned run)
+{
+    SplitMix rng{0x6c6c6d636f727075ull + run};
+    ServingConfig cfg;
+    cfg.mode = ServingMode::LlmContinuous;
+    cfg.llm.scheduler = rng.in(0, 3) == 0 ? LlmScheduler::StaticBatch
+                                           : LlmScheduler::Continuous;
+    static constexpr unsigned kPageTokens[] = {1, 2, 4, 7, 16, 32};
+    cfg.llm.pageTokens = kPageTokens[rng.in(0, 5)];
+    cfg.llm.maxBatch = static_cast<unsigned>(rng.in(0, 12));
+    cfg.llm.promptTokens = static_cast<unsigned>(rng.in(1, 48));
+    cfg.llm.promptTokensMax =
+        rng.in(0, 1) == 0 ? 0 : cfg.llm.promptTokens +
+                                    static_cast<unsigned>(rng.in(0, 64));
+    cfg.llm.outputTokens = static_cast<unsigned>(rng.in(1, 24));
+    cfg.llm.outputTokensMax =
+        rng.in(0, 1) == 0 ? 0 : cfg.llm.outputTokens +
+                                    static_cast<unsigned>(rng.in(0, 40));
+    cfg.trace.enabled = rng.in(0, 2) == 0;
+
+    // Decode steps cost ~2.4e7-1e8 cycles here, so 2e9 cycles of
+    // arrivals keep every endpoint busy for tens of iterations.
+    const double span = 2e9;
+    switch (rng.in(0, 2)) {
+      case 0: // drain
+        cfg.maxCycles = 1e12;
+        break;
+      case 1: // epoch boundary
+        cfg.stopAtCycles = rng.unit() * span;
+        cfg.maxCycles = 1e12;
+        break;
+      default: // time cap
+        cfg.maxCycles = 1e8 + rng.unit() * span;
+        break;
+    }
+
+    const llm::LlmModelSpec &spec = llm::llamaSpec();
+    const unsigned maxTokens =
+        std::max(cfg.llm.promptTokens, cfg.llm.promptTokensMax) +
+        std::max(cfg.llm.outputTokens, cfg.llm.outputTokensMax);
+    const std::uint64_t seqPages =
+        (maxTokens + cfg.llm.pageTokens - 1) / cfg.llm.pageTokens;
+    const auto tenants = static_cast<unsigned>(rng.in(1, 3));
+    for (unsigned i = 0; i < tenants; ++i) {
+        TenantSpec ts;
+        ts.model = ModelId::Llama;
+        ts.batch = static_cast<unsigned>(rng.in(1, 8));
+        ts.nMes = static_cast<unsigned>(rng.in(1, 2));
+        ts.nVes = static_cast<unsigned>(rng.in(1, 2));
+        ts.llmSeed = rng.next();
+        ts.maxQueueDepth = static_cast<unsigned>(rng.in(1, 24));
+        ts.sloCycles = 1e8 + rng.unit() * 2e9;
+        if (rng.in(0, 3) == 0)
+            ts.startOffsetCycles = rng.unit() * 3e8;
+        // One sequence's worth of pages up to a few batches' worth:
+        // the small pools gate heads and preempt.
+        const std::uint64_t pages = seqPages + rng.in(0, 4 * seqPages);
+        const Bytes pageBytes = cfg.llm.pageTokens * spec.kvBytesPerToken();
+        ts.hbmBytes = spec.weightBytes +
+                      static_cast<Bytes>(ts.batch) * spec.actPerSample +
+                      pages * pageBytes + rng.in(0, pageBytes - 1);
+        const auto carried = rng.in(0, 3) == 0 ? rng.in(1, 6) : 0;
+        for (std::uint64_t k = 0; k < carried; ++k)
+            ts.backlog.push_back(-rng.unit() * 5e8);
+        std::sort(ts.backlog.begin(), ts.backlog.end());
+        const auto arrivals = rng.in(0, 30);
+        for (std::uint64_t k = 0; k < arrivals; ++k) {
+            // Quantized stamps make simultaneous arrivals common.
+            const double at =
+                rng.in(0, 1) == 0 ? rng.unit() * span
+                                  : static_cast<double>(rng.in(0, 20)) * 1e8;
+            // An epoch-boundary run only sees arrivals before it.
+            if (at < cfg.stopAtCycles)
+                ts.arrivals.push_back(at);
+        }
+        std::sort(ts.arrivals.begin(), ts.arrivals.end());
+        cfg.tenants.push_back(ts);
+    }
+    return cfg;
+}
+
+void
+digestResult(const ServingResult &r, Digest &d)
+{
+    d.add(r.makespan);
+    d.add(r.meUsefulUtil);
+    d.add(r.meHeldUtil);
+    d.add(r.veUtil);
+    d.add(r.avgHbmBytesPerCycle);
+    for (const TenantResult &tr : r.tenants) {
+        d.add(tr.model.c_str());
+        d.add(tr.completed);
+        d.add(tr.latencyCycles);
+        d.add(tr.throughput);
+        d.add(tr.blockedFrac);
+        d.add(static_cast<std::uint64_t>(tr.reclaims));
+        d.add(tr.submitted);
+        d.add(tr.rejected);
+        d.add(tr.sloMet);
+        d.add(tr.goodput);
+        d.add(static_cast<std::uint64_t>(tr.backlog.size()));
+        for (Cycles c : tr.backlog)
+            d.add(c);
+        d.add(tr.lostRequests);
+        d.add(tr.recoveredRequests);
+        d.add(static_cast<std::uint64_t>(tr.failovers));
+        d.add(tr.downtimeCycles);
+        const LlmEndpointStats &ls = tr.llm;
+        d.add(ls.tokensGenerated);
+        d.add(ls.prefills);
+        d.add(ls.decodeIterations);
+        d.add(ls.preemptions);
+        d.add(static_cast<std::uint64_t>(ls.kvPages));
+        d.add(static_cast<std::uint64_t>(ls.kvPageHighWater));
+        d.add(ls.kvAllocOps);
+        d.add(ls.kvFreeOps);
+        d.add(ls.kvFailedAllocs);
+        d.add(ls.kvOccupancyMean);
+        d.add(ls.kvFragMean);
+        d.add(ls.ttftCycles);
+        d.add(ls.tokensPerSecond);
+    }
+    d.add(static_cast<std::uint64_t>(r.trace.size()));
+    for (const TraceEvent &ev : r.trace.events()) {
+        d.add(ev.at);
+        d.add(ev.dur);
+        d.add(ev.id);
+        d.add(static_cast<std::uint64_t>(ev.phase));
+        d.add(ev.cat);
+        d.add(ev.name);
+        for (int a = 0; a < ev.nargs; ++a) {
+            d.add(ev.args[a].key);
+            d.add(ev.args[a].value);
+        }
+    }
+}
+
+TEST(LlmServing, SeededCorpusMatchesPinnedDigest)
+{
+    // Several hundred seeded small endpoints over both schedulers,
+    // page sizes, batch caps, pools tight enough to gate heads and
+    // preempt, carried backlog, and drain / epoch-boundary / time-cap
+    // stops. The pinned digest comes from a decode loop that grew
+    // every running sequence through the pool on every iteration, so
+    // it holds any faster loop to the same bits: every counter,
+    // latency and TTFT sample, occupancy integral and trace event.
+    Digest digest;
+    std::uint64_t iterations = 0, preemptions = 0, gated = 0;
+    std::uint64_t stopped = 0;
+    for (unsigned run = 0; run < 400; ++run) {
+        const ServingConfig cfg = corpusConfig(run);
+        const ServingResult r = llm::runLlmServing(cfg);
+        digestResult(r, digest);
+        for (const TenantResult &tr : r.tenants) {
+            iterations += tr.llm.decodeIterations;
+            preemptions += tr.llm.preemptions;
+            gated += tr.llm.kvFailedAllocs;
+            stopped += tr.backlog.size();
+        }
+    }
+    // The corpus reaches every window-ending case.
+    EXPECT_GT(iterations, 10000u);
+    EXPECT_GT(preemptions, 100u);
+    EXPECT_GT(gated, preemptions);
+    EXPECT_GT(stopped, 100u);
+    EXPECT_EQ(digest.h, 0x67f8a301bd1c9ec5ull) << std::hex << digest.h;
+}
+
+TEST(LlmServing, ArrivalAtIterationEndJoinsNextIteration)
+{
+    // A sequence arriving exactly when a decode iteration ends is
+    // delivered, and prefilled into the batch, before the next
+    // iteration: a multi-iteration window must stop there too.
+    ServingConfig cfg;
+    cfg.mode = ServingMode::LlmContinuous;
+    cfg.llm.pageTokens = 16;
+    cfg.llm.maxBatch = 4;
+    cfg.llm.promptTokens = 64;
+    cfg.llm.outputTokens = 8;
+    cfg.maxCycles = 1e12;
+    cfg.trace.enabled = true;
+    TenantSpec ts;
+    ts.model = ModelId::Llama;
+    ts.batch = 8;
+    ts.nMes = 4;
+    ts.nVes = 4; // the whole core: bandwidth share 1
+    const llm::LlmModelSpec &spec = llm::llamaSpec();
+    const Cycles prefill =
+        llm::prefillCycles(spec, 64, cfg.core, ts.nMes, 1.0);
+    const Cycles decode =
+        llm::decodeStepCycles(spec, 1, 64, cfg.core, ts.nMes, 1.0);
+    ts.arrivals = {0.0, prefill + decode};
+    cfg.tenants.push_back(ts);
+
+    const ServingResult r = llm::runLlmServing(cfg);
+    std::vector<Cycles> prefills;
+    for (const TraceEvent &ev : r.trace.events())
+        if (std::string(ev.name) == "prefill")
+            prefills.push_back(ev.at);
+    ASSERT_EQ(prefills.size(), 2u);
+    EXPECT_EQ(prefills[0], 0.0);
+    EXPECT_EQ(prefills[1], prefill + decode);
+    EXPECT_EQ(r.tenants[0].completed, 2u);
 }
 
 TEST(LlmServing, NonLlamaTenantIsFatal)

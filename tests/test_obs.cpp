@@ -302,6 +302,31 @@ TEST(TraceDeterminism, TracingDoesNotPerturbResults)
     EXPECT_DOUBLE_EQ(rt.p99(), ro.p99());
 }
 
+TEST(Obs, AppendGrowthIsAmortized)
+{
+    // A fleet run appends every core's per-epoch buffer to its track,
+    // so a long run makes thousands of small appends to one track.
+    // Growth must stay geometric: reserving to the exact new size on
+    // every append copied the whole track each time (quadratic in
+    // epochs).
+    TraceBuffer buf(true);
+    for (int i = 0; i < 3; ++i)
+        buf.instant(static_cast<Cycles>(i), "request", "admit", "seq", i);
+    Trace trace;
+    constexpr unsigned kAppends = 4096;
+    unsigned changes = 0;
+    std::size_t capacity = 0;
+    for (unsigned e = 0; e < kAppends; ++e) {
+        trace.append(0, buf, 1000.0 * e, 0);
+        const std::size_t now = trace.tracks().at(0).capacity();
+        changes += now != capacity ? 1 : 0;
+        capacity = now;
+    }
+    EXPECT_EQ(trace.totalEvents(), 3u * kAppends);
+    // log2(3 * 4096) is ~13.6: allow doubling from one event plus slack.
+    EXPECT_LE(changes, 2u * 14u) << changes << " capacity changes";
+}
+
 // ------------------------------------------------- export bytes
 
 /** FNV-1a over @p bytes, continuing from @p h. */
@@ -339,6 +364,30 @@ TEST(Obs, ExportBytesMatchPinnedDigest)
     EXPECT_EQ(sentinels, 4u);
     const std::uint64_t h = fnv1a(metrics, fnv1a(trace));
     EXPECT_EQ(h, 0xb8193e1a31fe5100ull) << std::hex << h;
+}
+
+TEST(Obs, LlmExportBytesMatchPinnedDigest)
+{
+    // The smoke llm_preemption run with trace and metrics on: per-
+    // iteration decode spans, prefill spans, page-alloc/page-evict
+    // instants and request admit/complete instants. The pinned digest
+    // comes from a decode loop that called the KV pool for every
+    // running sequence on every iteration, so it holds the page-
+    // boundary decode loop to the same events in the same order.
+    Scenario s = loadScenarioFile(std::string(NEU10_SCENARIO_DIR) +
+                                  "/llm_preemption.scn");
+    s.smoke = true;
+    s.trace.enabled = true;
+    s.trace.metrics = true;
+    const ScenarioOutcome o = runScenario(s);
+    const std::string trace = o.fleet.trace.chromeJson();
+    const std::string metrics = o.fleet.metrics.json(s.board.core.freqHz);
+
+    for (const char *name : {"\"decode\"", "\"prefill\"", "\"page-alloc\"",
+                             "\"page-evict\"", "\"complete\""})
+        EXPECT_NE(trace.find(name), std::string::npos) << name;
+    const std::uint64_t h = fnv1a(metrics, fnv1a(trace));
+    EXPECT_EQ(h, 0xe3a2fb95482359fdull) << std::hex << h;
 }
 
 } // anonymous namespace

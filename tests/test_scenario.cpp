@@ -989,6 +989,55 @@ TEST(ScenarioErrors, CoreTotalThatWouldWrapIsRejected)
     EXPECT_EQ(s.totalCores(), 65536u);
 }
 
+TEST(ScenarioErrors, MemoryBelowOneSegmentIsRejected)
+{
+    // The vNPU allocator carves SRAM in 2 MiB and HBM in 1 GiB
+    // segments; a core with less than one used to abort in the
+    // allocator (an uncaught PanicError) instead of failing here.
+    const auto fleet = [](const std::string &line) {
+        return "[scenario]\nname = t\n[fleet]\nhorizon = 1e6\n" + line +
+               "\n[tenant.a]\nmodel = MNIST\neus = 2\nrho = 0.5\n";
+    };
+    expectError(fleet("sram-bytes = 0"),
+                "test.scn:5: sram-bytes=0 is below one 2097152-byte "
+                "SRAM segment");
+    expectError(fleet("sram-bytes = 2097151"),
+                "test.scn:5: sram-bytes=2097151 is below one");
+    expectError(fleet("hbm-bytes = 1"),
+                "test.scn:5: hbm-bytes=1 is below one 1073741824-byte "
+                "HBM segment");
+    // One segment each is allowed.
+    const Scenario s = parse(fleet("sram-bytes = 2097152\n"
+                                   "hbm-bytes = 1073741824"));
+    EXPECT_EQ(s.board.core.sramBytes, 2097152u);
+    EXPECT_EQ(s.board.core.hbmBytes, 1073741824u);
+}
+
+TEST(ScenarioErrors, EngineCountAboveBoundIsRejected)
+{
+    // Parse only: a 256-engine core is never simulated here.
+    const auto fleet = [](const std::string &line) {
+        return "[scenario]\nname = t\n[fleet]\nhorizon = 1e6\n" + line +
+               "\n[tenant.a]\nmodel = MNIST\neus = 2\nrho = 0.5\n";
+    };
+    expectError(fleet("mes = 100000"),
+                "test.scn:5: mes=100000 exceeds 256 engines per core");
+    expectError(fleet("ves = 257"),
+                "test.scn:5: ves=257 exceeds 256 engines per core");
+    const Scenario s = parse(fleet("mes = 256\nves = 256"));
+    EXPECT_EQ(s.board.core.numMes, 256u);
+    EXPECT_EQ(s.board.core.numVes, 256u);
+    // The closed-loop tenant rows carry the same bound.
+    const auto closed = [](const std::string &line) {
+        return "[scenario]\nname = t\n[fleet]\nmode = closed-loop\n"
+               "[tenant.a]\nmodel = BERT\n" + line + "\n";
+    };
+    expectError(closed("mes = 257"),
+                "test.scn:7: mes=257 exceeds 256 engines per core");
+    expectError(closed("ves = 4294967295"),
+                "test.scn:7: ves=4294967295 exceeds 256 engines");
+}
+
 // ------------------------------------------ file loading negatives
 
 TEST(ScenarioErrors, MissingFile)
@@ -1373,8 +1422,7 @@ TEST(ScenarioFuzz, MutantsParseOrFailWithFileLine)
         std::ifstream file(path);
         std::ostringstream text;
         text << file.rdbuf();
-        for (unsigned m = 0; m < 300; ++m) {
-            const std::string mutant = mutate(text.str(), rng);
+        const auto check = [&](const std::string &mutant) {
             Scenario s;
             try {
                 s = parseScenario(mutant, path);
@@ -1391,7 +1439,7 @@ TEST(ScenarioFuzz, MutantsParseOrFailWithFileLine)
                     << "\"" << what << "\" lacks a file:line prefix for "
                     << "mutant:\n" << mutant;
                 ++rejected;
-                continue;
+                return;
             }
             ++parsed;
             try {
@@ -1404,6 +1452,24 @@ TEST(ScenarioFuzz, MutantsParseOrFailWithFileLine)
                 ADD_FAILURE() << "expansion panicked (" << err.what()
                               << ") on mutant:\n" << mutant;
             }
+        };
+        for (unsigned m = 0; m < 300; ++m)
+            check(mutate(text.str(), rng));
+        // Core sizes below one memory segment, spliced into [fleet]:
+        // each must fail to parse with file:line.
+        const size_t fleet = text.str().find("[fleet]\n");
+        if (fleet == std::string::npos) {
+            ADD_FAILURE() << path << " has no [fleet] section";
+            continue;
+        }
+        for (const char *line :
+             {"sram-bytes = 0\n", "sram-bytes = 1\n", "hbm-bytes = 0\n",
+              "hbm-bytes = 1\n"}) {
+            std::string mutant = text.str();
+            mutant.insert(fleet + 8, line);
+            const unsigned before = rejected;
+            check(mutant);
+            EXPECT_EQ(rejected, before + 1) << line << "in " << path;
         }
     }
     setLogLevel(level);
