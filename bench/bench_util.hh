@@ -45,24 +45,32 @@ usageError(const FatalError &err)
     std::exit(2);
 }
 
-/** Write @p body to @p path; exit(2) naming the path when it cannot
- * be opened, fully written or closed. */
-inline void
-writeOrExit(const std::string &path, std::string_view body)
+/** exit(2) naming @p path, which could not be opened, fully
+ * written or closed. */
+[[noreturn]] inline void
+cannotWrite(const std::string &path)
 {
-    if (json::writeTextFile(path, body))
-        return;
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     std::exit(2);
 }
 
-/** Export a traced fleet run: the Chrome trace to @p path and the
- * epoch metrics to @p path.metrics.json (docs/OBSERVABILITY.md). */
+/** Write @p body to @p path; cannotWrite() on failure. */
+inline void
+writeOrExit(const std::string &path, std::string_view body)
+{
+    if (!json::writeTextFile(path, body))
+        cannotWrite(path);
+}
+
+/** Export a traced fleet run: the Chrome trace to @p path, streamed,
+ * and the epoch metrics to @p path.metrics.json
+ * (docs/OBSERVABILITY.md). */
 inline void
 exportTrace(const FleetResult &r, const std::string &path,
             double freqHz)
 {
-    writeOrExit(path, r.trace.chromeJson());
+    if (!r.trace.writeChromeJson(path))
+        cannotWrite(path);
     writeOrExit(path + ".metrics.json", r.metrics.json(freqHz));
     std::printf("[trace: %llu events -> %s]\n",
                 static_cast<unsigned long long>(r.trace.totalEvents()),

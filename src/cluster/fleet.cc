@@ -1,6 +1,8 @@
 #include "cluster/fleet.hh"
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 #include <utility>
 
 #include "common/annotations.hh"
@@ -144,10 +146,18 @@ runFleet(const FleetConfig &config)
     // what was committed keeps a repaired core's books from drifting
     // for the rest of the run.
     std::vector<double> committed_load(num_tenants, 0.0);
+    // Tenants of one shape share one sizing: profiling and lowering
+    // the model graph is the costly part, and a fleet of identical
+    // endpoints needs it once, not once per tenant. Maps each shape
+    // to its first tenant.
+    std::map<std::tuple<ModelId, unsigned, unsigned>, size_t> shapes;
     for (size_t i = 0; i < num_tenants; ++i) {
         const ClusterTenantSpec &spec = config.tenants[i];
-        sizings[i] = sizeVnpuForModel(spec.model, spec.batch,
-                                      spec.eus, core_cfg);
+        const auto [shape, fresh] = shapes.try_emplace(
+            std::make_tuple(spec.model, spec.batch, spec.eus), i);
+        sizings[i] = fresh ? sizeVnpuForModel(spec.model, spec.batch,
+                                              spec.eus, core_cfg)
+                           : sizings[shape->second];
         const VnpuSizing &sizing = sizings[i];
 
         TenantPlacement &pl = result.placements[i];

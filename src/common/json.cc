@@ -74,22 +74,34 @@ appendString(std::string &out, std::string_view s)
     out += '"';
 }
 
+Escaped
+EscapeCache::operator()(const char *literal)
+{
+    const auto [it, fresh] = memo_.try_emplace(literal);
+    if (fresh)
+        appendString(it->second, literal);
+    return Escaped(it->second);
+}
+
 void
-Writer::pad(const char *key)
+Writer::pad(Key key)
 {
     if (!first_)
         out_ += pretty_ ? ",\n" : ",";
     if (pretty_)
         out_.append(static_cast<size_t>(depth_) * 2, ' ');
-    if (key != nullptr) {
-        appendString(out_, key);
+    if (key.literal_ != nullptr) {
+        appendString(out_, key.literal_);
+        out_ += pretty_ ? ": " : ":";
+    } else if (!key.escaped_.empty()) {
+        out_ += key.escaped_;
         out_ += pretty_ ? ": " : ":";
     }
     first_ = false;
 }
 
 void
-Writer::begin(const char *key, char bracket)
+Writer::begin(Key key, char bracket)
 {
     pad(key);
     out_ += bracket;
@@ -112,7 +124,7 @@ Writer::end(char bracket)
 }
 
 void
-Writer::hex(const char *key, std::uint64_t v)
+Writer::hex(Key key, std::uint64_t v)
 {
     pad(key);
     out_ += "\"0x";
@@ -120,15 +132,42 @@ Writer::hex(const char *key, std::uint64_t v)
     out_ += '"';
 }
 
+TextFile::TextFile(const std::string &path)
+    : file_(std::fopen(path.c_str(), "w")), ok_(file_ != nullptr)
+{
+}
+
+TextFile::~TextFile()
+{
+    if (file_ != nullptr)
+        std::fclose(file_);
+}
+
+bool
+TextFile::write(std::string_view bytes)
+{
+    if (ok_)
+        ok_ = std::fwrite(bytes.data(), 1, bytes.size(), file_) ==
+              bytes.size();
+    return ok_;
+}
+
+bool
+TextFile::close()
+{
+    if (file_ == nullptr)
+        return false;
+    const bool closed = std::fclose(file_) == 0;
+    file_ = nullptr;
+    return closed && ok_;
+}
+
 bool
 writeTextFile(const std::string &path, std::string_view body)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    const bool wrote =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    return std::fclose(f) == 0 && wrote;
+    TextFile f(path);
+    f.write(body);
+    return f.close();
 }
 
 } // namespace neu10::json

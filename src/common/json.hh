@@ -14,8 +14,10 @@
 
 #include <concepts>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 namespace neu10::json
 {
@@ -32,13 +34,60 @@ void appendGeneral(std::string &out, double v, int digits);
 /** Quoted, with `"`, `\` and every byte below 0x20 escaped. */
 void appendString(std::string &out, std::string_view s);
 
+/**
+ * A string already rendered by appendString, quotes included. Only
+ * EscapeCache makes one, so a pre-escaped key or value has still
+ * been through the one escape rule; Writer copies it verbatim.
+ */
+class Escaped
+{
+  public:
+    std::string_view text() const { return text_; }
+
+  private:
+    friend class EscapeCache;
+    explicit Escaped(std::string_view text) : text_(text) {}
+
+    std::string_view text_;
+};
+
+/**
+ * Lookup-only memo of appendString over NUL-terminated literals,
+ * keyed by address: a streamed export escapes each distinct name
+ * once instead of once per row. Escaped values stay valid while the
+ * cache lives. The cache is never iterated, so its address keys
+ * cannot reach any output order.
+ */
+class EscapeCache
+{
+  public:
+    Escaped operator()(const char *literal);
+
+  private:
+    std::unordered_map<const char *, std::string> memo_;
+};
+
+/** A member key: a literal escaped on the spot, an Escaped one, or
+ * nullptr for an array element or the top-level value. */
+class Key
+{
+  public:
+    Key(const char *literal) : literal_(literal) {}
+    Key(Escaped escaped) : escaped_(escaped.text()) {}
+
+  private:
+    friend class Writer;
+    const char *literal_ = nullptr;
+    std::string_view escaped_;
+};
+
 /** Pretty: `"key": value`, one per line, two-space indent.
  * Compact: `{"key":value}`. */
 enum class Layout { Pretty, Compact };
 
 /**
  * Ordered builder appending to a caller-owned buffer: keys appear
- * exactly as emitted. Every value method takes the member key, or
+ * exactly as emitted. Every value method takes the member Key, or
  * nullptr for an array element or the top-level value.
  */
 class Writer
@@ -49,23 +98,38 @@ class Writer
     {
     }
 
-    void open(const char *key = nullptr) { begin(key, '{'); }
+    /** A compact writer adding members to an object the caller has
+     * already opened and given at least one member (a pre-rendered
+     * row prefix); close() ends that object. */
+    static Writer
+    inObject(std::string &out)
+    {
+        Writer w(out, Layout::Compact);
+        w.depth_ = 1;
+        w.first_ = false;
+        return w;
+    }
+
+    void open(Key key = nullptr) { begin(key, '{'); }
     void close() { end('}'); }
-    void openList(const char *key = nullptr) { begin(key, '['); }
+    void openList(Key key = nullptr) { begin(key, '['); }
     void closeList() { end(']'); }
 
-    void str(const char *key, std::string_view v)
+    void str(Key key, std::string_view v)
     { pad(key); appendString(out_, v); }
 
-    void boolean(const char *key, bool v)
+    void str(Key key, Escaped v)
+    { pad(key); out_ += v.text(); }
+
+    void boolean(Key key, bool v)
     { pad(key); out_ += v ? "true" : "false"; }
 
-    void num(const char *key, double v)
+    void num(Key key, double v)
     { pad(key); appendShortest(out_, v); }
 
     template <std::integral T>
         requires(!std::same_as<T, bool>)
-    void num(const char *key, T v)
+    void num(Key key, T v)
     {
         pad(key);
         if constexpr (std::signed_integral<T>)
@@ -74,24 +138,52 @@ class Writer
             appendUint(out_, v);
     }
 
-    void fixed(const char *key, double v, int decimals)
+    void fixed(Key key, double v, int decimals)
     { pad(key); appendFixed(out_, v, decimals); }
 
-    void general(const char *key, double v, int digits)
+    void general(Key key, double v, int digits)
     { pad(key); appendGeneral(out_, v, digits); }
 
     /** @p v as a "0x..." lowercase hex string (trace async ids). */
-    void hex(const char *key, std::uint64_t v);
+    void hex(Key key, std::uint64_t v);
 
   private:
-    void pad(const char *key);
-    void begin(const char *key, char bracket);
+    void pad(Key key);
+    void begin(Key key, char bracket);
     void end(char bracket);
 
     std::string &out_;
     bool pretty_;
     int depth_ = 0;
     bool first_ = true;
+};
+
+/**
+ * A text file written in pieces, replacing @p path: the one file-write
+ * error path. A failed open or write is sticky — later writes do
+ * nothing and close() reports it — so a streamed export can write
+ * its chunks and check once.
+ */
+class TextFile
+{
+  public:
+    explicit TextFile(const std::string &path);
+    ~TextFile();
+    TextFile(const TextFile &) = delete;
+    TextFile &operator=(const TextFile &) = delete;
+
+    bool isOpen() const { return file_ != nullptr; }
+
+    /** Append @p bytes. @return false once the open or any write has
+     * failed. */
+    bool write(std::string_view bytes);
+
+    /** @return false when the open, any write or the close failed. */
+    [[nodiscard]] bool close();
+
+  private:
+    std::FILE *file_ = nullptr;
+    bool ok_ = false;
 };
 
 /** Write @p body to @p path, replacing it. @return false when the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/json.hh"
 
@@ -60,8 +61,8 @@ struct Row
 
 } // anonymous namespace
 
-std::string
-Trace::chromeJson() const
+bool
+Trace::exportChromeJson(const ChunkSink &sink) const
 {
     // Cycles -> microseconds (the trace-event time unit), clamped at
     // zero: a standalone serving trace can hold carried-backlog
@@ -82,13 +83,18 @@ Trace::chromeJson() const
         return track < 0 ? 0u : static_cast<unsigned>(track);
     };
 
-    // Reserve well past the longest row (~140 bytes; a 'b' record is
-    // two) so a large trace is written once instead of doubling into
-    // a fresh buffer: reserved pages that are never written are not
-    // resident, while the final doubling copy would briefly hold two
-    // buffers of the trace's size.
+    // Rows render into one chunk buffer, handed to the sink whenever
+    // a row leaves it full: the export holds one chunk (plus room for
+    // the row that fills it), not the file.
     std::string out;
-    out.reserve(256 * (totalEvents() + 2 * tracks_.size() + 1));
+    out.reserve(kExportChunkBytes + 4096);
+    const auto flush_if_full = [&] {
+        if (out.size() < kExportChunkBytes)
+            return true;
+        const bool ok = sink(out);
+        out.clear();
+        return ok;
+    };
     out += "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": "
            "{\"clock_hz\": ";
     json::appendFixed(out, freqHz_, 0);
@@ -96,24 +102,22 @@ Trace::chromeJson() const
 
     // One compact object per row, rows separated by ",\n".
     bool first = true;
-    const auto row = [&](const char *phase, unsigned pid,
-                         unsigned tid) {
+    const auto separate = [&] {
         if (!first)
             out += ",\n";
         first = false;
-        json::Writer w(out, json::Layout::Compact);
-        w.open();
-        w.str("ph", phase);
-        w.num("pid", pid);
-        w.num("tid", tid);
-        return w;
     };
     const auto meta = [&](unsigned pid, unsigned tid, const char *what,
                           const char *label, int index) {
         std::string name = label;
         if (index >= 0)
             json::appendInt(name, index);
-        json::Writer w = row("M", pid, tid);
+        separate();
+        json::Writer w(out, json::Layout::Compact);
+        w.open();
+        w.str("ph", "M");
+        w.num("pid", pid);
+        w.num("tid", tid);
         w.str("name", what);
         w.open("args");
         w.str("name", name);
@@ -137,12 +141,32 @@ Trace::chromeJson() const
         }
         meta(pid, tid, "thread_name", track < 0 ? "fleet" : "core ",
              track < 0 ? -1 : static_cast<int>(tid));
+        if (!flush_if_full())
+            return false;
     }
+
+    // Constant text is escaped once per export, not once per row:
+    // the member keys here, each distinct cat/name/arg key on first
+    // use, and each track's `{"ph":..,"pid":..,"tid":..` row prefix
+    // once per phase.
+    json::EscapeCache esc;
+    const json::Escaped k_ts = esc("ts"), k_dur = esc("dur"),
+                        k_s = esc("s"), v_t = esc("t"),
+                        k_cat = esc("cat"), k_name = esc("name"),
+                        k_id = esc("id"), k_args = esc("args");
+    static constexpr const char *kPhases[] = {"X", "i", "b", "e"};
+    std::string prefix[std::size(kPhases)];
 
     std::vector<Row> rows;
     for (const auto &[track, evs] : tracks_) {
-        const unsigned pid = pid_of(track);
-        const unsigned tid = tid_of(track);
+        for (std::size_t p = 0; p < std::size(kPhases); ++p) {
+            prefix[p].clear();
+            json::Writer w(prefix[p], json::Layout::Compact);
+            w.open();
+            w.str("ph", kPhases[p]);
+            w.num("pid", pid_of(track));
+            w.num("tid", tid_of(track));
+        }
         rows.clear();
         for (std::uint32_t i = 0; i < evs.size(); ++i) {
             rows.push_back({evs[i].at, i, false});
@@ -158,44 +182,64 @@ Trace::chromeJson() const
         for (const Row &r : rows) {
             const TraceEvent &ev = evs[r.ev];
             const bool async = ev.phase == 'b';
-            const char *ph = ev.phase == 'X' ? "X"
-                             : !async        ? "i"
-                             : r.end         ? "e"
-                                             : "b";
-            json::Writer w = row(ph, pid, tid);
-            w.fixed("ts", us(r.ts), 6);
+            const std::size_t phase = ev.phase == 'X' ? 0
+                                      : !async        ? 1
+                                      : r.end         ? 3
+                                                      : 2;
+            separate();
+            out += prefix[phase];
+            json::Writer w = json::Writer::inObject(out);
+            w.fixed(k_ts, us(r.ts), 6);
             if (ev.phase == 'X')
-                w.fixed("dur", us(ev.at + ev.dur) - us(ev.at), 6);
+                w.fixed(k_dur, us(ev.at + ev.dur) - us(ev.at), 6);
             else if (!async)
-                w.str("s", "t");
-            w.str("cat", ev.cat);
-            w.str("name", ev.name);
+                w.str(k_s, v_t);
+            w.str(k_cat, esc(ev.cat));
+            w.str(k_name, esc(ev.name));
             if (async)
-                w.hex("id", ev.id);
+                w.hex(k_id, ev.id);
             if (ev.nargs > 0 && !r.end) {
-                w.open("args");
+                w.open(k_args);
                 for (int a = 0; a < ev.nargs; ++a) {
                     // JSON has no infinity/NaN literal; kCyclesInf
                     // sentinels (e.g. a board lost for good) export
                     // as -1.
                     const double v = ev.args[a].value;
-                    w.general(ev.args[a].key,
+                    w.general(esc(ev.args[a].key),
                               std::isfinite(v) ? v : -1.0, 9);
                 }
                 w.close();
             }
             w.close();
+            if (!flush_if_full())
+                return false;
         }
     }
 
     out += "\n]}\n";
-    return out;
+    return sink(out);
+}
+
+std::string
+Trace::chromeJson() const
+{
+    std::string whole;
+    exportChromeJson([&](std::string_view chunk) {
+        whole += chunk;
+        return true;
+    });
+    return whole;
 }
 
 bool
 Trace::writeChromeJson(const std::string &path) const
 {
-    return json::writeTextFile(path, chromeJson());
+    json::TextFile file(path);
+    if (!file.isOpen())
+        return false;
+    const bool streamed = exportChromeJson(
+        [&](std::string_view chunk) { return file.write(chunk); });
+    return file.close() && streamed;
 }
 
 } // namespace neu10

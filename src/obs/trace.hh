@@ -36,9 +36,12 @@
 #ifndef NEU10_OBS_TRACE_HH
 #define NEU10_OBS_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hh"
@@ -222,15 +225,29 @@ class Trace
         return tracks_;
     }
 
+    /** Export chunk size: rows render into one buffer of about this
+     * many bytes, handed to the sink each time it fills. */
+    static constexpr std::size_t kExportChunkBytes = std::size_t{1} << 20;
+
+    /** Receives one export chunk; returns false to stop the export. */
+    using ChunkSink = std::function<bool(std::string_view)>;
+
     /**
-     * Render the whole trace as Chrome trace-event JSON. The output
-     * is a pure function of the recorded events — the byte stream
-     * the determinism tests compare.
+     * Render the trace as Chrome trace-event JSON, track by track,
+     * handing @p sink each chunk of at least kExportChunkBytes (the
+     * last may be shorter) that ends on a row boundary, so no chunk
+     * exceeds kExportChunkBytes plus one row. The bytes are a pure
+     * function of the recorded events — the stream the determinism
+     * tests compare. @return false as soon as @p sink does.
      */
+    bool exportChromeJson(const ChunkSink &sink) const;
+
+    /** The whole export as one string (tests and pinned digests). */
     std::string chromeJson() const;
 
-    /** Write chromeJson() to @p path. @return false when the file
-     * cannot be opened, fully written or closed. */
+    /** Stream the export into @p path, opened before rendering
+     * starts. @return false when the file cannot be opened, any
+     * chunk cannot be written or the close fails. */
     bool writeChromeJson(const std::string &path) const;
 
   private:

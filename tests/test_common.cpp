@@ -468,6 +468,52 @@ TEST(Json, WriterLayouts)
               "}");
 }
 
+TEST(Json, EscapedRendersAsWriterStr)
+{
+    // A pre-escaped key or value must render exactly as the Writer
+    // escapes the same text itself, in both layouts.
+    const char *const texts[] = {"plain", "say \"hi\"", "back\\slash",
+                                 "bell\x07tab\tnl\n", "\x1f\x01", ""};
+    for (const json::Layout layout :
+         {json::Layout::Compact, json::Layout::Pretty}) {
+        json::EscapeCache esc;
+        for (const char *key : texts) {
+            for (const char *value : texts) {
+                std::string direct, cached;
+                json::Writer d(direct, layout);
+                d.open();
+                d.str(key, value);
+                d.open(key);
+                d.general(key, 0.5, 9);
+                d.close();
+                d.close();
+                json::Writer c(cached, layout);
+                c.open();
+                c.str(esc(key), esc(value));
+                c.open(esc(key));
+                c.general(esc(key), 0.5, 9);
+                c.close();
+                c.close();
+                EXPECT_EQ(cached, direct) << key << " / " << value;
+            }
+        }
+        // A repeat lookup is served from the cache.
+        EXPECT_EQ(esc(texts[1]).text().data(), esc(texts[1]).text().data());
+    }
+}
+
+TEST(Json, InObjectContinuesARowPrefix)
+{
+    std::string out;
+    json::Writer p(out, json::Layout::Compact);
+    p.open();
+    p.str("ph", "X");
+    json::Writer w = json::Writer::inObject(out);
+    w.num("pid", 3u);
+    w.close();
+    EXPECT_EQ(out, "{\"ph\":\"X\",\"pid\":3}");
+}
+
 TEST(Json, NonFiniteValuesPanic)
 {
     setLogLevel(LogLevel::Silent);
@@ -496,6 +542,28 @@ TEST(Json, WriteTextFileReportsFailure)
         std::fclose(full);
         EXPECT_FALSE(json::writeTextFile("/dev/full", "{}"));
     }
+}
+
+TEST(Json, TextFileWritesPiecesAndReportsFailure)
+{
+    const std::string path = ::testing::TempDir() + "neu10_json_pieces.txt";
+    {
+        json::TextFile f(path);
+        ASSERT_TRUE(f.isOpen());
+        EXPECT_TRUE(f.write("{\"a\":"));
+        EXPECT_TRUE(f.write("1}\n"));
+        EXPECT_TRUE(f.close());
+    }
+    std::ifstream in(path);
+    std::stringstream body;
+    body << in.rdbuf();
+    EXPECT_EQ(body.str(), "{\"a\":1}\n");
+    std::remove(path.c_str());
+
+    json::TextFile missing("/nonexistent/dir/x.json");
+    EXPECT_FALSE(missing.isOpen());
+    EXPECT_FALSE(missing.write("{}"));
+    EXPECT_FALSE(missing.close());
 }
 
 } // anonymous namespace

@@ -10,9 +10,14 @@
  * plus a pinned digest of the exported trace and metrics bytes.
  */
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -325,6 +330,71 @@ TEST(Obs, AppendGrowthIsAmortized)
     EXPECT_EQ(trace.totalEvents(), 3u * kAppends);
     // log2(3 * 4096) is ~13.6: allow doubling from one event plus slack.
     EXPECT_LE(changes, 2u * 14u) << changes << " capacity changes";
+}
+
+TEST(Obs, StreamedTraceFileMatchesChromeJson)
+{
+    // Enough rows for at least three export chunks, with a cat, name
+    // and arg key that need escaping (quote, backslash, control byte)
+    // so the escape-once path is held to appendString's bytes.
+    Trace trace;
+    trace.setTopology(/*coresPerBoard=*/2, /*numBoards=*/1);
+    for (int track : {Trace::kControllerTrack, 0, 1}) {
+        TraceBuffer buf(true);
+        for (int i = 0; i < 12000; ++i) {
+            buf.instant(3.0 * i, "c\"at", "na\\me\x01", "k\"\\\x1f", i);
+            buf.span(3.0 * i, 3.0 * i + 2.0, "engine", "advance");
+            buf.asyncSpan(i + 1, 3.0 * i, 3.0 * i + 5.0, "request",
+                          "execute", "tenant", track);
+        }
+        trace.append(track, buf, 0.0, 0);
+    }
+    const std::string whole = trace.chromeJson();
+    EXPECT_NE(whole.find("\"c\\\"at\""), std::string::npos);
+    EXPECT_NE(whole.find("\"na\\\\me\\u0001\""), std::string::npos);
+    EXPECT_NE(whole.find("\"k\\\"\\\\\\u001f\":"), std::string::npos);
+
+    size_t longest_row = 0;
+    for (size_t at = 0; at < whole.size();) {
+        size_t end = whole.find(",\n", at);
+        end = end == std::string::npos ? whole.size() : end + 2;
+        longest_row = std::max(longest_row, end - at);
+        at = end;
+    }
+    std::vector<size_t> chunks;
+    std::string streamed;
+    ASSERT_TRUE(trace.exportChromeJson([&](std::string_view chunk) {
+        chunks.push_back(chunk.size());
+        streamed += chunk;
+        return true;
+    }));
+    EXPECT_EQ(streamed, whole);
+    EXPECT_GE(chunks.size(), 3u);
+    for (const size_t bytes : chunks)
+        EXPECT_LE(bytes, Trace::kExportChunkBytes + longest_row);
+
+    // A sink that refuses stops the export at its first chunk.
+    unsigned calls = 0;
+    EXPECT_FALSE(trace.exportChromeJson([&](std::string_view) {
+        ++calls;
+        return false;
+    }));
+    EXPECT_EQ(calls, 1u);
+
+    const std::string path = ::testing::TempDir() + "neu10_streamed.json";
+    ASSERT_TRUE(trace.writeChromeJson(path));
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream file;
+    file << in.rdbuf();
+    EXPECT_EQ(file.str(), whole);
+    std::remove(path.c_str());
+
+    EXPECT_FALSE(trace.writeChromeJson("/nonexistent/dir/t.json"));
+    // The open succeeds but the chunks cannot reach the device.
+    if (std::FILE *full = std::fopen("/dev/full", "w")) {
+        std::fclose(full);
+        EXPECT_FALSE(trace.writeChromeJson("/dev/full"));
+    }
 }
 
 // ------------------------------------------------- export bytes

@@ -4,10 +4,13 @@
 Runs bench_cluster_serving in smoke mode with NEU10_TRACE=on, then
 validates the emitted Chrome trace and metrics JSON with
 tools/check_trace.py — the exact pipeline CI's traced smoke-run job
-uses, so a bench or exporter regression fails here first. Also feeds
-the checker a hand-written trace holding NaN, which must fail.
+uses, so a bench or exporter regression fails here first. Then runs
+the full (non-smoke) cluster_diurnal scenario through neu10_run,
+whose trace spans several export chunks, and checks that too, so a
+row torn or dropped at a chunk boundary fails. Also feeds the checker
+a hand-written trace holding NaN, which must fail.
 
-Usage: test_trace_artifact.py REPO_ROOT BENCH_BINARY
+Usage: test_trace_artifact.py REPO_ROOT BENCH_BINARY NEU10_RUN_BINARY
 """
 
 import os
@@ -15,6 +18,10 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+
+# Trace::kExportChunkBytes (src/obs/trace.hh): the streamed export
+# hands the file one chunk of about this size at a time.
+CHUNK_BYTES = 1 << 20
 
 
 def run(cmd, **kwargs):
@@ -26,13 +33,16 @@ def run(cmd, **kwargs):
 
 
 def main():
-    if len(sys.argv) != 3:
-        sys.exit(f"usage: {sys.argv[0]} REPO_ROOT BENCH_BINARY")
+    if len(sys.argv) != 4:
+        sys.exit(f"usage: {sys.argv[0]} REPO_ROOT BENCH_BINARY "
+                 f"NEU10_RUN_BINARY")
     root = pathlib.Path(sys.argv[1])
     bench = pathlib.Path(sys.argv[2])
+    neu10_run = pathlib.Path(sys.argv[3])
     check = root / "tools" / "check_trace.py"
-    if not bench.exists():
-        sys.exit(f"FAIL: bench binary {bench} not found")
+    for binary in (bench, neu10_run):
+        if not binary.exists():
+            sys.exit(f"FAIL: binary {binary} not found")
 
     with tempfile.TemporaryDirectory() as tmp:
         trace = pathlib.Path(tmp) / "fleet.trace.json"
@@ -53,6 +63,22 @@ def main():
              "--require-event", "complete",
              "--require-event", "place",
              "--require-event", "epoch"])
+
+        # A trace of several export chunks, from the full scenario.
+        big = pathlib.Path(tmp) / "diurnal.trace.json"
+        env = dict(os.environ, NEU10_TRACE="on", NEU10_TRACE_OUT=str(big))
+        env.pop("NEU10_SMOKE", None)
+        run([neu10_run, root / "scenarios" / "cluster_diurnal.scn"],
+            env=env, stdout=subprocess.DEVNULL)
+        size = big.stat().st_size
+        if size <= 2 * CHUNK_BYTES:
+            sys.exit(f"FAIL: the cluster_diurnal trace is {size} bytes; "
+                     f"it must span at least three {CHUNK_BYTES}-byte "
+                     f"export chunks")
+        run([sys.executable, check, big,
+             "--metrics", f"{big}.metrics.json",
+             "--require-event", "complete",
+             "--require-event", "epoch"])
         # A non-finite number leaking into an export must fail the
         # check, although Python's json module would parse it.
         bad = pathlib.Path(tmp) / "nan.trace.json"
@@ -64,7 +90,7 @@ def main():
         if proc.returncode != 1:
             sys.exit(f"FAIL: check_trace.py exited {proc.returncode} "
                      f"on a NaN timestamp, expected 1")
-    print("ok: traced smoke run produced a valid trace + metrics; "
+    print("ok: traced smoke run and a multi-chunk trace are valid; "
           "a NaN trace is rejected")
 
 
